@@ -9,8 +9,8 @@ protocols (reliable vs. semantic) on the *same* workload, so a run must be
 exactly reproducible from a seed.  Two runs with the same seed and the same
 sequence of ``schedule`` calls produce identical event orders:
 
-* events are ordered by ``(time, priority, sequence-number)`` where the
-  sequence number is a monotonically increasing tie-breaker, and
+* events are ordered by ``(time, sequence-number)`` where the sequence
+  number is a monotonically increasing tie-breaker, and
 * all randomness flows through named child generators whose seeds are
   derived by hashing ``(master seed, name)`` with SHA-256 (see
   :meth:`Simulator.rng`) — stable across processes, platforms and
@@ -52,7 +52,6 @@ __all__ = [
     "Event",
     "EventHandle",
     "Simulator",
-    "SimulatorV3",
     "SimulationError",
     "derive_stream_seed",
     "stream_rng",
@@ -69,8 +68,8 @@ class EventHandle(list):
     v1 split this across an immutable ``Event`` record, a cancellable
     handle wrapper and a nested sort-key tuple — three allocations and a
     Python-level ``__init__`` per event.  v2 merges all of it into one
-    list subclass with layout ``[time, priority, seq, callback, args,
-    cancelled]``: construction is the C list initializer, the object *is*
+    list subclass with layout ``[time, seq, callback, args, cancelled]``:
+    construction is the C list initializer, the object *is*
     its own heap entry (lists compare elementwise exactly like the old key
     tuples — ``seq`` is unique, so comparisons never reach the callback),
     and the named accessors below keep the v1 surface.
@@ -87,34 +86,30 @@ class EventHandle(list):
         return self[0]
 
     @property
-    def priority(self) -> int:
+    def seq(self) -> int:
         return self[1]
 
     @property
-    def seq(self) -> int:
+    def callback(self) -> Callable[..., None]:
         return self[2]
 
     @property
-    def callback(self) -> Callable[..., None]:
+    def args(self) -> Tuple[Any, ...]:
         return self[3]
 
     @property
-    def args(self) -> Tuple[Any, ...]:
+    def cancelled(self) -> bool:
         return self[4]
 
-    @property
-    def cancelled(self) -> bool:
-        return self[5]
-
-    def sort_key(self) -> Tuple[float, int, int]:
-        return (self[0], self[1], self[2])
+    def sort_key(self) -> Tuple[float, int]:
+        return (self[0], self[1])
 
     def cancel(self) -> None:
-        self[5] = True
+        self[4] = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = " cancelled" if self[5] else ""
-        return f"EventHandle(t={self[0]:.6f}, prio={self[1]}{state})"
+        state = " cancelled" if self[4] else ""
+        return f"EventHandle(t={self[0]:.6f}, seq={self[1]}{state})"
 
 
 #: Backwards-compatible alias: v1 exposed a separate immutable ``Event``
@@ -261,16 +256,12 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: int = 0,
+        self, delay: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` from now.
 
-        ``priority`` breaks ties among events at the same time: lower runs
-        first.  Negative delays are rejected.
+        Events at the same instant run in scheduling order.  Negative
+        delays are rejected.
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
@@ -279,7 +270,7 @@ class Simulator:
         time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
-        entry = EventHandle((time, priority, seq, callback, args, False))
+        entry = EventHandle((time, seq, callback, args, False))
         idx = int(time * self._inv_tick)
         if idx <= self._active_idx:
             heappush(self._active, entry)
@@ -295,11 +286,7 @@ class Simulator:
         return entry
 
     def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: int = 0,
+        self, time: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
         if time < self.now:
@@ -308,7 +295,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        entry = EventHandle((time, priority, seq, callback, args, False))
+        entry = EventHandle((time, seq, callback, args, False))
         idx = int(time * self._inv_tick)
         if idx <= self._active_idx:
             # At or behind the slot being drained (including re-entry after
@@ -327,17 +314,18 @@ class Simulator:
 
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a previously scheduled event (idempotent)."""
-        handle[5] = True
+        handle[4] = True
 
     # ------------------------------------------------------------------
     # Slot management
     # ------------------------------------------------------------------
 
-    def _next_slot(self) -> Optional[List[_Entry]]:
-        """Pop, sort and return the next non-empty slot (None when dry).
+    def _refill(self) -> bool:
+        """Load the next non-empty slot into the (empty) active heap.
 
-        Shared by both engines: v2 merges the slot into its active heap,
-        v3 drains it in place by index (see :class:`SimulatorV3`).
+        Returns False when nothing is pending anywhere.  One batched
+        ``sort`` orders the whole slot; the sorted list is a valid binary
+        heap, so later same-slot arrivals can still be merged by push.
         """
         while True:
             if self._bucket_heap:
@@ -346,9 +334,10 @@ class Simulator:
                 if len(entries) > 1:
                     entries.sort()
                 self._active_idx = idx
-                return entries
+                self._active.extend(entries)
+                return True
             if not self._overflow:
-                return None
+                return False
             # Wheel ran dry: advance the horizon to cover the earliest
             # overflow event and re-bucket everything inside it.
             overflow = self._overflow
@@ -367,26 +356,13 @@ class Simulator:
                 else:
                     bucket.append(entry)
 
-    def _refill(self) -> bool:
-        """Load the next non-empty slot into the (empty) active heap.
-
-        Returns False when nothing is pending anywhere.  One batched
-        ``sort`` orders the whole slot; the sorted list is a valid binary
-        heap, so later same-slot arrivals can still be merged by push.
-        """
-        entries = self._next_slot()
-        if entries is None:
-            return False
-        self._active.extend(entries)
-        return True
-
     def _next_entry(self) -> Optional[_Entry]:
         """The earliest live entry, left in place (cancelled ones pruned)."""
         active = self._active
         while True:
             if active:
                 entry = active[0]
-                if entry[5]:
+                if entry[4]:
                     heappop(active)
                     continue
                 return entry
@@ -408,7 +384,7 @@ class Simulator:
         heappop(self._active)
         self.now = entry[0]
         self._events_processed += 1
-        entry[3](*entry[4])
+        entry[2](*entry[3])
         return True
 
     def run(
@@ -438,7 +414,7 @@ class Simulator:
                 # are measurable at this call rate.
                 if active:
                     entry = active[0]
-                    if entry[5]:
+                    if entry[4]:
                         heappop(active)
                         continue
                 elif self._refill():
@@ -454,7 +430,7 @@ class Simulator:
                 heappop(active)
                 self.now = entry[0]
                 processed += 1
-                entry[3](*entry[4])
+                entry[2](*entry[3])
             if until is not None and self.now < until and not self._stopped:
                 self.now = until
         finally:
@@ -476,169 +452,6 @@ class Simulator:
         )
 
 
-class SimulatorV3(Simulator):
-    """Kernel v3: batch slot dispatch over the v2 slotted queue.
-
-    v2 drains a slot through a binary heap: one ``heappop`` per event even
-    though the slot was already fully sorted when it was loaded.  v3 keeps
-    the sorted slot as a flat list and walks it by index — the common case
-    per event is one bounds check, one list index and the dispatch, no
-    heap traffic at all.
-
-    Same-slot *late arrivals* (events scheduled, while the slot drains,
-    at a time that falls inside it) still go through the inherited
-    ``schedule``/``schedule_at`` fast paths, which push them onto the
-    active heap; the drain loop merges that (normally empty) spill heap
-    against the slot list entry by entry.  Because entries compare by
-    ``(time, priority, seq)`` and seq is unique, the merge reproduces the
-    v2 total order bit for bit — the differential suite in
-    ``tests/sim/test_kernel_diff.py`` and the property tests in
-    ``tests/sim/test_batch_dispatch.py`` pin this.
-
-    Cancellation stays lazy and O(1): cancelled entries are skipped at
-    their slot-list position (or pruned from the spill heap) exactly when
-    v2 would have skipped them at pop time.
-    """
-
-    __slots__ = ("_slot", "_cursor")
-
-    def __init__(
-        self,
-        seed: int = 0,
-        start_time: float = 0.0,
-        tick: float = 0.008,
-        span: int = 4096,
-    ) -> None:
-        super().__init__(seed=seed, start_time=start_time, tick=tick, span=span)
-        #: The active slot, sorted, drained in place by ``_cursor``.
-        self._slot: List[_Entry] = []
-        self._cursor = 0
-
-    @property
-    def pending_events(self) -> int:
-        return (len(self._slot) - self._cursor) + super().pending_events
-
-    def _refill(self) -> bool:
-        entries = self._next_slot()
-        if entries is None:
-            return False
-        self._slot.extend(entries)
-        return True
-
-    def _pop_next(self) -> Optional[_Entry]:
-        """Remove and return the earliest live entry (merge of slot list
-        and spill heap), refilling from the buckets as needed."""
-        active = self._active
-        slot = self._slot
-        while True:
-            cursor = self._cursor
-            if cursor < len(slot):
-                entry = slot[cursor]
-                if active and active[0] < entry:
-                    entry = heappop(active)
-                    if entry[5]:
-                        continue
-                    return entry
-                self._cursor = cursor + 1
-                if entry[5]:
-                    continue
-                return entry
-            if active:
-                entry = heappop(active)
-                if entry[5]:
-                    continue
-                return entry
-            if slot:
-                slot.clear()
-                self._cursor = 0
-            if self._next_slot_into(slot) is False:
-                return None
-
-    def _next_slot_into(self, slot: List[_Entry]) -> bool:
-        entries = self._next_slot()
-        if entries is None:
-            return False
-        slot.extend(entries)
-        return True
-
-    def step(self) -> bool:
-        entry = self._pop_next()
-        if entry is None:
-            return False
-        self.now = entry[0]
-        self._events_processed += 1
-        entry[3](*entry[4])
-        return True
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
-        self._stopped = False
-        executed = 0
-        processed = 0
-        active = self._active
-        slot = self._slot
-        cursor = self._cursor
-        unbounded = until is None and max_events is None
-        try:
-            while not self._stopped:
-                # Batch dispatch: the sorted slot is consumed by index;
-                # the spill heap (same-slot late arrivals) is merged in
-                # by comparison and is empty in the common case.
-                from_heap = False
-                if cursor < len(slot):
-                    entry = slot[cursor]
-                    if active:
-                        head = active[0]
-                        if head < entry:
-                            if head[5]:
-                                heappop(active)
-                                continue
-                            entry = head
-                            from_heap = True
-                    if not from_heap and entry[5]:
-                        cursor += 1
-                        continue
-                elif active:
-                    entry = active[0]
-                    if entry[5]:
-                        heappop(active)
-                        continue
-                    from_heap = True
-                else:
-                    if slot:
-                        slot.clear()
-                    cursor = 0
-                    self._cursor = 0
-                    if self._next_slot_into(slot):
-                        continue
-                    break
-                if not unbounded:
-                    if until is not None and entry[0] > until:
-                        break
-                    if max_events is not None and executed >= max_events:
-                        break
-                    executed += 1
-                if from_heap:
-                    heappop(active)
-                else:
-                    cursor += 1
-                self.now = entry[0]
-                processed += 1
-                entry[3](*entry[4])
-            if until is not None and self.now < until and not self._stopped:
-                self.now = until
-        finally:
-            self._cursor = cursor
-            self._events_processed += processed
-            self._running = False
-
-
 @dataclass
 class PeriodicTimer:
     """Repeatedly invoke a callback at a fixed period.
@@ -650,7 +463,6 @@ class PeriodicTimer:
     sim: Simulator
     period: float
     callback: Callable[[], None]
-    priority: int = 0
     _handle: Optional[EventHandle] = field(default=None, repr=False)
     _active: bool = field(default=False, repr=False)
 
@@ -661,7 +473,7 @@ class PeriodicTimer:
             return
         self._active = True
         delay = self.period if initial_delay is None else initial_delay
-        self._handle = self.sim.schedule(delay, self._tick, priority=self.priority)
+        self._handle = self.sim.schedule(delay, self._tick)
 
     def stop(self) -> None:
         self._active = False
@@ -678,6 +490,4 @@ class PeriodicTimer:
             return
         self.callback()
         if self._active:
-            self._handle = self.sim.schedule(
-                self.period, self._tick, priority=self.priority
-            )
+            self._handle = self.sim.schedule(self.period, self._tick)

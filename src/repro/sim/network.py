@@ -21,6 +21,11 @@ fault draws of one edge never perturb another edge (or the latency
 streams).  All knobs are off by default so the core protocol runs over the
 paper's assumed reliable channels; the fast send path is untouched unless
 a link fault is actually configured.
+
+While a network is *pristine* — constant latency, no fault ever installed
+— :meth:`Network.multicast` delivers a whole fan-out with one kernel event
+instead of one per destination, with an identical event order (see the
+class docstring and ``docs/kernel.md``).
 """
 
 from __future__ import annotations
@@ -33,11 +38,6 @@ from repro.registry import latency_models
 from repro.sim.kernel import Simulator
 from repro.sim.process import ProcessId, SimProcess
 
-try:  # Optional: the v3 vectorized sampling path; scalar fallback without.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the standard image
-    _np = None
-
 __all__ = [
     "LatencyModel",
     "ConstantLatency",
@@ -45,35 +45,8 @@ __all__ = [
     "LognormalLatency",
     "LinkFaultPolicy",
     "Network",
-    "NetworkV3",
     "ChannelStats",
 ]
-
-
-#: Minimum batch size for the numpy-vectorized uniform refill: the MT19937
-#: state transplant costs roughly a hundred scalar draws, so small batches
-#: (v2's default of 64) stay scalar and only v3's large refills vectorize.
-VECTOR_MIN_BATCH = 512
-
-
-def _np_uniform_block(rng, low: float, high: float, n: int) -> List[float]:
-    """``[rng.uniform(low, high) for _ in range(n)]``, vectorized, exact.
-
-    Transplants the generator's MT19937 state into a legacy numpy
-    ``RandomState`` (same core generator, same 53-bit double construction,
-    same ``low + (high - low) * u`` arithmetic), draws the block, and
-    transplants the advanced state back — so the Python generator
-    continues exactly where the block left off.  Bit-for-bit equality with
-    the scalar loop (including stream continuation) is pinned by
-    ``tests/sim/test_batch_dispatch.py``.
-    """
-    version, istate, gauss = rng.getstate()
-    rs = _np.random.RandomState()
-    rs.set_state(("MT19937", _np.asarray(istate[:624], dtype=_np.uint32), istate[624]))
-    out = rs.uniform(low, high, n)
-    state = rs.get_state()
-    rng.setstate((version, tuple(int(k) for k in state[1]) + (int(state[2]),), gauss))
-    return out.tolist()
 
 
 class LatencyModel:
@@ -154,12 +127,7 @@ class UniformLatency(_EdgeRandomLatency):
         return self._rng_for(src, dst).uniform(self.low, self.high)
 
     def sample_batch(self, src: ProcessId, dst: ProcessId, n: int) -> List[float]:
-        rng = self._rng_for(src, dst)
-        if _np is not None and n >= VECTOR_MIN_BATCH:
-            # Exact numpy replay of the scalar loop (state transplant);
-            # reached by the v3 network's large refills only.
-            return _np_uniform_block(rng, self.low, self.high, n)
-        uniform = rng.uniform
+        uniform = self._rng_for(src, dst).uniform
         low, high = self.low, self.high
         return [uniform(low, high) for _ in range(n)]
 
@@ -267,6 +235,45 @@ class ChannelStats:
     reordered: int = 0
 
 
+class _FanoutGroup:
+    """Flat per-(src, destination-set) state for the batched fan-out.
+
+    One instance memoizes everything a batched fan-out needs: the
+    destination pids, which of them are attached, and one pre-bound
+    delivery callable per attached destination (the process's fast
+    handler when it provides one, its generic ``_deliver`` otherwise).
+    ``sent``/``delivered_runs`` accumulate whole fan-outs and are folded
+    into the per-channel :class:`ChannelStats` lazily; ``last_now`` is
+    the send time of the latest batched fan-out, from which the exact FIFO
+    clamp (``last_now + constant latency``) is reconstructed when the
+    network stops batching.
+    """
+
+    __slots__ = (
+        "src", "dsts", "attached", "handlers",
+        "n_total", "n_attached", "sent", "delivered_runs", "last_now",
+    )
+
+    def __init__(self, src: ProcessId, dsts: Tuple[ProcessId, ...], procs) -> None:
+        self.src = src
+        self.dsts = dsts
+        attached: List[ProcessId] = []
+        handlers: List[Callable[[ProcessId, Any], None]] = []
+        for dst in dsts:
+            proc = procs.get(dst)
+            if proc is not None:
+                attached.append(dst)
+                fast = proc._fast_handler
+                handlers.append(fast if fast is not None else proc._deliver)
+        self.attached = tuple(attached)
+        self.handlers = handlers
+        self.n_total = len(dsts)
+        self.n_attached = len(attached)
+        self.sent = 0
+        self.delivered_runs = 0
+        self.last_now: Optional[float] = None
+
+
 class Network:
     """Full mesh of reliable FIFO channels over a :class:`Simulator`.
 
@@ -274,6 +281,34 @@ class Network:
     :class:`~repro.sim.process.SimProcess`).  ``send`` enqueues a delivery
     event; FIFO order per ordered pair is enforced by tracking the last
     scheduled delivery time per channel.
+
+    **Batched fan-out.**  :meth:`multicast` is semantically one ``send``
+    per destination, and that is how it runs once the network has seen
+    any fault.  Until then it schedules one kernel event per fan-out:
+
+    * Batching is on only while the network is *pristine* — the latency
+      model is exactly :class:`ConstantLatency` (a subclass may override
+      ``sample``, so it takes the per-send path) and no cut, partition,
+      drop filter, delay filter or link-fault policy has been installed.
+      Under constant latency ``d`` the FIFO clamp never binds (the
+      previous delivery on a channel was scheduled at
+      ``t_prev + d <= now + d``), so every delivery of a fan-out lands at
+      ``now + d`` and one event can perform them all.
+    * Per-send delivery schedules the destinations back to back, so they
+      hold consecutive sequence numbers and the kernel orders events by
+      ``(time, seq)``: no other event can run between them, and any event
+      scheduled later, even at the same instant, runs after the whole
+      fan-out.  The single batch event reproduces that total order.
+    * The first fault-injection call latches batching off for good, after
+      materializing the deferred per-channel stats and FIFO clamps.  The
+      latch is one-way: a healed cut or cleared delay filter may have
+      pushed a channel's clamp beyond ``now + d``, which the clamp-free
+      batch could violate.
+
+    Per-channel :class:`ChannelStats` and the clamp table are maintained
+    lazily while batching (whole fan-outs are counted per group and folded
+    on demand); ``messages_sent``/``messages_delivered`` are exact at all
+    times.
     """
 
     #: Latency draws requested from the model per (src, dst) edge at a
@@ -301,6 +336,12 @@ class Network:
             else None
         )
         self._draws: Dict[Tuple[ProcessId, ProcessId], List[float]] = {}
+        # Batched fan-out state (see the class docstring).  ``_all_groups``
+        # outlives ``_groups``: attach() invalidates the lookup while
+        # in-flight batch events still hold their group.
+        self._batching = self._constant is not None
+        self._groups: Dict[Any, _FanoutGroup] = {}
+        self._all_groups: List[_FanoutGroup] = []
         # Fault injection state (all empty/None by default = reliable net).
         self._cut: Set[Tuple[ProcessId, ProcessId]] = set()
         self._drop_filter: Optional[Callable[[ProcessId, ProcessId, Any], bool]] = None
@@ -329,6 +370,10 @@ class Network:
         if proc.pid in self._procs:
             raise ValueError(f"pid {proc.pid} already attached")
         self._procs[proc.pid] = proc
+        if self._groups:
+            # A new process invalidates memoized attachment/handler lists.
+            self._flush_groups()
+            self._groups.clear()
 
     def process(self, pid: ProcessId) -> SimProcess:
         return self._procs[pid]
@@ -437,17 +482,79 @@ class Network:
         """Send ``payload`` from ``src`` to every destination, in order.
 
         Semantically this *is* ``for dst in dsts: self.send(...)`` — one
-        FIFO unicast per destination, in iteration order — and that is the
-        v2 implementation verbatim.  :class:`NetworkV3` overrides it with
-        a batched fast path that schedules one kernel event per fan-out.
+        FIFO unicast per destination, in iteration order — and it runs
+        that way once batching is off.  While the network is pristine it
+        schedules one kernel event for the whole fan-out instead (see the
+        class docstring).
 
         ``token``, when given, must uniquely identify the ``(src, dsts)``
         pair for the lifetime of the network (the SVS layer passes
-        ``(pid, view id)``); it lets v3 memoize per-group state without
+        ``(pid, view id)``); it memoizes the per-group state without
         hashing the destination list on every call.
         """
-        for dst in dsts:
-            self.send(src, dst, payload)
+        if not self._batching:
+            for dst in dsts:
+                self.send(src, dst, payload)
+            return
+        key = token if token is not None else (src, tuple(dsts))
+        group = self._groups.get(key)
+        if group is None:
+            group = _FanoutGroup(src, tuple(dsts), self._procs)
+            self._groups[key] = group
+            self._all_groups.append(group)
+        group.sent += 1
+        self.messages_sent += group.n_total
+        now = self.sim.now
+        group.last_now = now
+        self.sim.schedule_at(now + self._constant, self._deliver_group, group, payload)
+
+    def _deliver_group(self, group: _FanoutGroup, payload: Any) -> None:
+        # One kernel event delivers the whole fan-out in destination order,
+        # which is the per-send order.  Crash checks happen per destination
+        # inside the handlers, exactly where per-send delivery makes them.
+        group.delivered_runs += 1
+        self.messages_delivered += group.n_attached
+        src = group.src
+        for handler in group.handlers:
+            handler(src, payload)
+
+    def _flush_groups(self) -> None:
+        """Fold deferred group counters into per-channel state.
+
+        Safe to call at any time, any number of times: counters are
+        reset after folding and in-flight batch events keep accumulating
+        on the (still referenced) group objects.
+        """
+        stats_map = self._stats
+        last = self._last_delivery
+        for group in self._all_groups:
+            src = group.src
+            if group.sent:
+                for dst in group.dsts:
+                    stats = stats_map.get((src, dst))
+                    if stats is None:
+                        stats = stats_map[(src, dst)] = ChannelStats()
+                    stats.sent += group.sent
+                group.sent = 0
+            if group.delivered_runs:
+                for dst in group.attached:
+                    stats = stats_map.get((src, dst))
+                    if stats is None:
+                        stats = stats_map[(src, dst)] = ChannelStats()
+                    stats.delivered += group.delivered_runs
+                group.delivered_runs = 0
+            if group.last_now is not None:
+                clamp = group.last_now + self._constant
+                for dst in group.dsts:
+                    if clamp > last.get((src, dst), 0.0):
+                        last[(src, dst)] = clamp
+                group.last_now = None
+
+    def _stop_batching(self) -> None:
+        """Latch the per-send path on for good (see the class docstring);
+        called before any fault-injection knob takes effect."""
+        self._batching = False
+        self._flush_groups()
 
     def _deliver(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
         proc = self._procs.get(dst)
@@ -463,6 +570,7 @@ class Network:
 
     def cut(self, a: ProcessId, b: ProcessId, bidirectional: bool = True) -> None:
         """Drop all future messages on the (a, b) channel(s)."""
+        self._stop_batching()
         self._cut.add((a, b))
         if bidirectional:
             self._cut.add((b, a))
@@ -486,6 +594,7 @@ class Network:
         self, predicate: Optional[Callable[[ProcessId, ProcessId, Any], bool]]
     ) -> None:
         """Drop messages for which ``predicate(src, dst, payload)`` is true."""
+        self._stop_batching()
         self._drop_filter = predicate
 
     def set_link_fault(
@@ -510,6 +619,7 @@ class Network:
         ``faults.<src>.<dst>`` RNG stream, independent of latency draws
         and of every other edge.
         """
+        self._stop_batching()
         self._link_faults[(src, dst)] = LinkFaultPolicy(
             loss=loss,
             duplicate=duplicate,
@@ -565,6 +675,7 @@ class Network:
         message also delays everything behind it on the same channel, which
         is exactly how a slow link behaves.
         """
+        self._stop_batching()
         self._delay_filter = extra
 
     # ------------------------------------------------------------------
@@ -572,226 +683,11 @@ class Network:
     # ------------------------------------------------------------------
 
     def channel_stats(self, src: ProcessId, dst: ProcessId) -> ChannelStats:
+        self._flush_groups()
         return self._stats.setdefault((src, dst), ChannelStats())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Network(procs={len(self._procs)}, sent={self.messages_sent}, "
             f"delivered={self.messages_delivered})"
-        )
-
-
-class _FanoutGroup:
-    """Flat per-(src, destination-set) state for the v3 fast path.
-
-    One instance memoizes everything a batched fan-out needs: the
-    destination pids, which of them are attached, and one pre-bound
-    delivery callable per attached destination (the process's fast
-    handler when it provides one, its generic ``_deliver`` otherwise).
-    ``sent``/``delivered_runs`` accumulate whole fan-outs and are folded
-    into the per-channel :class:`ChannelStats` lazily; ``last_now`` is
-    the send time of the latest fast fan-out, from which the exact FIFO
-    clamp (``last_now + constant latency``) is reconstructed when the
-    network leaves the fast path.
-    """
-
-    __slots__ = (
-        "src", "dsts", "attached", "handlers",
-        "n_total", "n_attached", "sent", "delivered_runs", "last_now",
-    )
-
-    def __init__(self, src: ProcessId, dsts: Tuple[ProcessId, ...], procs) -> None:
-        self.src = src
-        self.dsts = dsts
-        attached: List[ProcessId] = []
-        handlers: List[Callable[[ProcessId, Any], None]] = []
-        for dst in dsts:
-            proc = procs.get(dst)
-            if proc is not None:
-                attached.append(dst)
-                fast = proc._fast_handler
-                handlers.append(fast if fast is not None else proc._deliver)
-        self.attached = tuple(attached)
-        self.handlers = handlers
-        self.n_total = len(dsts)
-        self.n_attached = len(attached)
-        self.sent = 0
-        self.delivered_runs = 0
-        self.last_now: Optional[float] = None
-
-
-class NetworkV3(Network):
-    """Engine-v3 network: batched multicast fan-out over flat group state.
-
-    Correctness argument (pinned by ``tests/sim/test_kernel_diff.py`` and
-    ``tests/sim/test_batch_dispatch.py``):
-
-    * The fast path engages only while the network is *pristine* — the
-      latency model is exactly :class:`ConstantLatency` and no cut, drop
-      filter, delay filter or link-fault policy has ever been installed.
-      Under constant latency ``d`` the FIFO clamp provably never binds
-      (the previous delivery on a channel was scheduled at
-      ``t_prev + d <= now + d``), so all ``n-1`` deliveries of a fan-out
-      share ``deliver_at = now + d`` and one kernel event can perform
-      them all.
-    * v2 schedules the per-destination deliveries back to back, so they
-      occupy consecutive sequence numbers: no other event can order
-      *between* them, and any event scheduled later (even at the same
-      instant) runs after the whole fan-out.  The single v3 batch event
-      therefore reproduces v2's total order exactly, provided no
-      same-instant event uses a negative priority — nothing in the stack
-      does.
-    * The first fault-injection call permanently latches the network back
-      to the per-event v2 path (PR 4/5 semantics untouched), after first
-      materializing the deferred per-channel stats and FIFO clamps.
-
-    Per-channel :class:`ChannelStats` and the clamp table are maintained
-    lazily (whole fan-outs are counted per group and folded on demand);
-    the global ``messages_sent``/``messages_delivered`` counters stay
-    exact at all times.
-    """
-
-    #: v3 requests much larger per-edge latency refills: above
-    #: ``VECTOR_MIN_BATCH`` the uniform model vectorizes the refill with
-    #: numpy (exact, state-transplanted).  Draw order per edge is
-    #: invariant under batch size, so this cannot perturb results.
-    DRAW_BATCH = 1024
-
-    def __init__(
-        self,
-        sim: Simulator,
-        latency: Optional[LatencyModel] = None,
-    ) -> None:
-        super().__init__(sim, latency)
-        self._fast_enabled = self._constant is not None
-        self._groups: Dict[Any, _FanoutGroup] = {}
-        #: Every group ever built — the lookup cache may be invalidated
-        #: (attach) while in-flight batch events still hold references.
-        self._all_groups: List[_FanoutGroup] = []
-
-    # -- fast-path bookkeeping -----------------------------------------
-
-    def attach(self, proc: SimProcess) -> None:
-        super().attach(proc)
-        if self._groups:
-            # A new process invalidates memoized attachment/handler lists.
-            self._flush_groups()
-            self._groups.clear()
-
-    def _flush_groups(self) -> None:
-        """Fold deferred group counters into per-channel state.
-
-        Safe to call at any time, any number of times: counters are
-        reset after folding and in-flight batch events keep accumulating
-        on the (still referenced) group objects.
-        """
-        d = self._constant
-        stats_map = self._stats
-        last = self._last_delivery
-        for entry in self._all_groups:
-            src = entry.src
-            sent = entry.sent
-            if sent:
-                for dst in entry.dsts:
-                    ch = (src, dst)
-                    stats = stats_map.get(ch)
-                    if stats is None:
-                        stats = stats_map[ch] = ChannelStats()
-                    stats.sent += sent
-                entry.sent = 0
-            delivered = entry.delivered_runs
-            if delivered:
-                for dst in entry.attached:
-                    ch = (src, dst)
-                    stats = stats_map.get(ch)
-                    if stats is None:
-                        stats = stats_map[ch] = ChannelStats()
-                    stats.delivered += delivered
-                entry.delivered_runs = 0
-            if entry.last_now is not None and d is not None:
-                clamp = entry.last_now + d
-                for dst in entry.dsts:
-                    ch = (src, dst)
-                    if clamp > last.get(ch, 0.0):
-                        last[ch] = clamp
-                entry.last_now = None
-
-    def _leave_fast_path(self) -> None:
-        """Permanently fall back to the per-event v2 path.
-
-        Called before the first fault-injection knob takes effect; the
-        latch is one-way because a cleared delay filter or healed link
-        may have pushed a channel's FIFO clamp beyond ``now + d``, which
-        the clamp-free fast path could then violate.
-        """
-        self._fast_enabled = False
-        self._flush_groups()
-
-    # -- fault injection latches ---------------------------------------
-
-    def cut(self, a: ProcessId, b: ProcessId, bidirectional: bool = True) -> None:
-        self._leave_fast_path()
-        super().cut(a, b, bidirectional)
-
-    def set_drop_filter(self, predicate) -> None:
-        self._leave_fast_path()
-        super().set_drop_filter(predicate)
-
-    def set_delay_filter(self, extra) -> None:
-        self._leave_fast_path()
-        super().set_delay_filter(extra)
-
-    def set_link_fault(self, src=None, dst=None, **kwargs) -> None:
-        self._leave_fast_path()
-        super().set_link_fault(src, dst, **kwargs)
-
-    # -- sending -------------------------------------------------------
-
-    def multicast(
-        self,
-        src: ProcessId,
-        dsts: Any,
-        payload: Any,
-        token: Optional[Any] = None,
-    ) -> None:
-        if not self._fast_enabled:
-            for dst in dsts:
-                self.send(src, dst, payload)
-            return
-        key = token if token is not None else (src, tuple(dsts))
-        entry = self._groups.get(key)
-        if entry is None:
-            entry = _FanoutGroup(src, tuple(dsts), self._procs)
-            self._groups[key] = entry
-            self._all_groups.append(entry)
-        entry.sent += 1
-        self.messages_sent += entry.n_total
-        now = self.sim.now
-        entry.last_now = now
-        self.sim.schedule_at(
-            now + self._constant, self._deliver_group, entry, payload
-        )
-
-    def _deliver_group(self, entry: _FanoutGroup, payload: Any) -> None:
-        # One kernel event delivers the whole fan-out, in v2's order
-        # (destination order == consecutive-seq order).  Crash checks
-        # happen per destination inside the handlers, exactly where v2's
-        # per-event deliveries performed them.
-        entry.delivered_runs += 1
-        self.messages_delivered += entry.n_attached
-        src = entry.src
-        for handler in entry.handlers:
-            handler(src, payload)
-
-    # -- introspection -------------------------------------------------
-
-    def channel_stats(self, src: ProcessId, dst: ProcessId) -> ChannelStats:
-        self._flush_groups()
-        return super().channel_stats(src, dst)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"NetworkV3(procs={len(self._procs)}, sent={self.messages_sent}, "
-            f"delivered={self.messages_delivered}, "
-            f"fast={'on' if self._fast_enabled else 'off'})"
         )

@@ -18,8 +18,6 @@ sim-vs-live contract, see ``docs/transport.md``):
 * time advances on its own — two runs of the same scenario are *not*
   byte-identical; only the protocol's safety properties are preserved
   (which is exactly what the loopback cross-check lane verifies);
-* the ``priority`` tie-break is accepted and ignored — wall-clock events
-  never tie exactly;
 * callbacks run on the event loop thread; an exception raised by any
   callback aborts the run and re-raises from :meth:`run` instead of
   vanishing into asyncio's default exception handler.
@@ -128,27 +126,15 @@ class WallClock:
     # ------------------------------------------------------------------
 
     def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: int = 0,
+        self, delay: float, callback: Callable[..., None], *args: Any
     ) -> WallClockHandle:
-        """Schedule ``callback(*args)`` ``delay`` seconds from now.
-
-        ``priority`` is accepted for kernel compatibility and ignored —
-        wall-clock firings never tie exactly.
-        """
+        """Schedule ``callback(*args)`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
         return self._schedule_abs(self.now + delay, callback, args)
 
     def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: int = 0,
+        self, time: float, callback: Callable[..., None], *args: Any
     ) -> WallClockHandle:
         """Schedule ``callback(*args)`` at an absolute run time (seconds
         since the loop started)."""

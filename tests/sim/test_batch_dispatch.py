@@ -1,52 +1,96 @@
-"""Property tests for the v3 batch dispatcher and its network fast path.
+"""Property tests for kernel dispatch order and the batched fan-out.
 
-``tests/sim/test_kernel_diff.py`` proves engine equivalence end-to-end on
-full protocol stacks; this suite attacks the same claim at the component
+``tests/sim/test_kernel_diff.py`` pins whole protocol stacks against
+frozen fingerprints; this suite attacks the same claims at the component
 level, where the failure modes are nameable:
 
 * **kernel dispatch order** — random schedule/cancel interleavings
-  (same-instant events, priorities, same-slot late arrivals, overflow
-  horizons, mid-slot ``run(until=...)`` pauses) must produce the exact
-  same callback trace on :class:`Simulator` and :class:`SimulatorV3`;
-* **lazy cancellation** — cancelling entries that already sit in v3's
-  sorted slot (or its spill heap) must skip them precisely where v2's
-  pop-time check would;
-* **per-edge RNG streams** — the v3 network's large vectorized latency
-  refills must consume each edge stream bit-for-bit like the scalar
-  path, including generator continuation after a block;
-* **fault latching** — random multicast/cut/heal/loss interleavings must
-  leave :class:`NetworkV3` byte-identical to :class:`Network` (traces,
-  counters, per-channel stats), i.e. the one-way fast-path latch and its
-  FIFO-clamp backfill lose nothing.
+  (same-instant events, same-slot late arrivals, overflow horizons,
+  mid-slot ``run(until=...)`` pauses) must produce the exact callback
+  trace of a reference kernel that keeps one global heap ordered by
+  ``(time, seq)``;
+* **lazy cancellation** — cancelling entries that already sit in the
+  sorted slot being drained must skip them;
+* **per-edge RNG streams** — latency draws consume each edge stream in
+  the same order whatever the refill batch size;
+* **fault latching** — random multicast/cut/heal/loss/crash interleavings
+  must leave the batching :class:`Network` byte-identical (traces,
+  counters, per-channel stats) to the same network driven per send, i.e.
+  the one-way latch and its FIFO-clamp backfill lose nothing.
 
 The shared-stream contract between the simulated and wall-clock
 substrates (``rng(name)``) is pinned here too.
 """
 
-import random
+from heapq import heappop, heappush
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.kernel import Simulator, SimulatorV3, derive_stream_seed
-from repro.sim.network import (
-    VECTOR_MIN_BATCH,
-    ConstantLatency,
-    Network,
-    NetworkV3,
-    UniformLatency,
-    _np,
-    _np_uniform_block,
-)
+from repro.sim.kernel import EventHandle, Simulator, derive_stream_seed
+from repro.sim.network import ConstantLatency, Network, UniformLatency
 from repro.sim.process import SimProcess
-
-ENGINES = (Simulator, SimulatorV3)
 
 
 # ----------------------------------------------------------------------
 # Kernel dispatch order under random schedule/cancel interleavings
 # ----------------------------------------------------------------------
+
+
+class _HeapKernel:
+    """Reference kernel: one global heap ordered by ``(time, seq)``.
+
+    Mirrors the :class:`Simulator` surface the programs below use, with
+    the same lazy cancellation (a cancelled head is pruned when it
+    surfaces), so even ``pending_events`` must agree.
+    """
+
+    def __init__(self, seed=0):
+        self.now = 0.0
+        self.events_processed = 0
+        self._heap = []
+        self._seq = 0
+
+    @property
+    def pending_events(self):
+        return len(self._heap)
+
+    def schedule(self, delay, callback, *args):
+        entry = EventHandle((self.now + delay, self._seq, callback, args, False))
+        self._seq += 1
+        heappush(self._heap, entry)
+        return entry
+
+    def _fire(self, entry):
+        self.now = entry[0]
+        self.events_processed += 1
+        entry[2](*entry[3])
+
+    def step(self):
+        heap = self._heap
+        while heap and heap[0][4]:
+            heappop(heap)
+        if not heap:
+            return False
+        self._fire(heappop(heap))
+        return True
+
+    def run(self, until=None, max_events=None):
+        heap = self._heap
+        executed = 0
+        while heap:
+            if heap[0][4]:
+                heappop(heap)
+                continue
+            if until is not None and heap[0][0] > until:
+                break
+            if max_events is not None and executed >= max_events:
+                break
+            executed += 1
+            self._fire(heappop(heap))
+        if until is not None and self.now < until:
+            self.now = until
+
 
 #: Delays chosen to land same-instant (0.0), inside the current 8 ms slot,
 #: exactly on slot boundaries, a few slots out, and past the 4096-slot
@@ -55,11 +99,9 @@ _DELAYS = [0.0, 1e-4, 0.004, 0.0079, 0.008, 0.05, 1.0, 40.0]
 
 _EVENT = st.tuples(
     st.sampled_from(_DELAYS),
-    st.integers(min_value=-1, max_value=2),  # priority (ties + negatives)
     st.lists(  # children spawned when the event fires
         st.tuples(
             st.sampled_from(_DELAYS),
-            st.integers(min_value=-1, max_value=2),
             st.integers(min_value=0, max_value=2),  # respawn count
         ),
         max_size=3,
@@ -76,11 +118,11 @@ def _execute(sim_cls, program, mode):
     """Run one schedule/cancel program; return everything observable.
 
     Every event appends ``(now, tag)`` to the trace, may cancel one
-    earlier handle (index taken modulo the handle count, so both engines
+    earlier handle (index taken modulo the handle count, so both kernels
     resolve it identically as long as their orders agree — which is the
     assertion), and spawns its children; a child with a respawn budget
     re-schedules itself, so same-instant chains recurse through the
-    drain-time spill path.
+    drain-time late-arrival path.
     """
     sim = sim_cls(seed=7)
     trace = []
@@ -91,23 +133,21 @@ def _execute(sim_cls, program, mode):
         trace.append((sim.now, tag))
         if cancel is not None and handles:
             handles[cancel % len(handles)].cancel()
-        for j, (delay, prio, respawn) in enumerate(children):
+        for j, (delay, respawn) in enumerate(children):
             handles.append(
-                sim.schedule(delay, respawn_fire, (tag, j), delay, prio, respawn,
-                             priority=prio)
+                sim.schedule(delay, respawn_fire, (tag, j), delay, respawn)
             )
 
-    def respawn_fire(tag, delay, prio, respawn):
+    def respawn_fire(tag, delay, respawn):
         trace.append((sim.now, tag))
         if respawn:
             handles.append(
                 sim.schedule(delay, respawn_fire, (tag, "r", respawn), delay,
-                             prio, respawn - 1, priority=prio)
+                             respawn - 1)
             )
 
-    for i, (delay, prio, children, cancel) in enumerate(program):
-        handles.append(sim.schedule(delay, fire, i, children, cancel,
-                                    priority=prio))
+    for i, (delay, children, cancel) in enumerate(program):
+        handles.append(sim.schedule(delay, fire, i, children, cancel))
 
     if mode == "run":
         sim.run()
@@ -115,8 +155,7 @@ def _execute(sim_cls, program, mode):
         while sim.step():
             pass
     elif mode == "until":
-        # Pause mid-stream (possibly mid-slot for v3: the cursor must
-        # survive re-entry), snapshot, then drain.
+        # Pause mid-stream (possibly mid-slot), snapshot, then drain.
         sim.run(until=0.006)
         snapshots.append((len(trace), sim.now, sim.pending_events,
                           sim.events_processed))
@@ -143,67 +182,42 @@ class TestDispatchOrderEquivalence:
     @given(program=PROGRAMS, mode=RUN_MODES)
     def test_random_interleavings_trace_identical(self, program, mode):
         assert _execute(Simulator, program, mode) == \
-            _execute(SimulatorV3, program, mode)
-
-    def test_same_instant_priority_order(self):
-        """Ties at one instant resolve by (priority, seq) on both engines."""
-        def trace_of(sim_cls):
-            sim = sim_cls()
-            out = []
-            for i, prio in enumerate([2, 0, -1, 0, 1]):
-                sim.schedule(0.001, out.append, (prio, i), priority=prio)
-            sim.run()
-            return out
-
-        a, b = trace_of(Simulator), trace_of(SimulatorV3)
-        assert a == b
-        assert a == sorted(a)  # (priority, insertion order)
+            _execute(_HeapKernel, program, mode)
 
     def test_event_cancels_later_same_slot_event(self):
         """A firing event cancels a sibling already inside the sorted
-        slot being drained — v3 must skip it at its list position."""
-        def trace_of(sim_cls):
-            sim = sim_cls()
-            out = []
-            victim = sim.schedule(0.002, out.append, "victim")
-            sim.schedule(0.001, lambda: (out.append("killer"),
-                                         victim.cancel()))
-            sim.schedule(0.003, out.append, "after")
-            sim.run()
-            return out, sim.events_processed
-
-        assert trace_of(Simulator) == trace_of(SimulatorV3) == \
-            (["killer", "after"], 2)
+        slot being drained — it must be skipped at its position."""
+        sim = Simulator()
+        out = []
+        victim = sim.schedule(0.002, out.append, "victim")
+        sim.schedule(0.001, lambda: (out.append("killer"), victim.cancel()))
+        sim.schedule(0.003, out.append, "after")
+        sim.run()
+        assert (out, sim.events_processed) == (["killer", "after"], 2)
 
     def test_late_arrival_merges_into_draining_slot(self):
         """An event scheduled *during* the drain, at a time inside the
         slot already loaded, must run in this pass, ordered against the
-        remaining slot entries — the spill-heap merge."""
-        def trace_of(sim_cls):
-            sim = sim_cls()
-            out = []
+        remaining slot entries."""
+        sim = Simulator()
+        out = []
 
-            def first():
-                out.append("first")
-                # Lands between "first" (0.001) and "third" (0.004), in
-                # the slot currently being drained.
-                sim.schedule(0.002, out.append, "late")
-                # Same instant as "third" but lower priority value: must
-                # run *before* it despite being scheduled later.
-                sim.schedule_at(0.004, out.append, "late-prio",
-                                priority=-1)
+        def first():
+            out.append("first")
+            # Lands between "first" (0.001) and "third" (0.004), in the
+            # slot currently being drained.
+            sim.schedule(0.002, out.append, "late")
+            # Same instant as "third" but scheduled later: runs after it.
+            sim.schedule_at(0.004, out.append, "late-tie")
 
-            sim.schedule(0.001, first)
-            sim.schedule(0.004, out.append, "third")
-            sim.run()
-            return out
-
-        assert trace_of(Simulator) == trace_of(SimulatorV3) == \
-            ["first", "late", "late-prio", "third"]
+        sim.schedule(0.001, first)
+        sim.schedule(0.004, out.append, "third")
+        sim.run()
+        assert out == ["first", "late", "third", "late-tie"]
 
 
 # ----------------------------------------------------------------------
-# Shared stream contract: Simulator / SimulatorV3 / WallClock
+# Shared stream contract: Simulator / WallClock
 # ----------------------------------------------------------------------
 
 
@@ -228,10 +242,6 @@ class TestStreamRngContract:
                 assert [sim.rng(name).random() for _ in range(16)] == \
                     [clock.rng(name).random() for _ in range(16)]
 
-    def test_v3_inherits_identical_streams(self):
-        a, b = Simulator(seed=31).rng("x"), SimulatorV3(seed=31).rng("x")
-        assert [a.random() for _ in range(8)] == [b.random() for _ in range(8)]
-
     def test_streams_are_memoized_and_independent(self):
         sim = Simulator(seed=5)
         first = sim.rng("a")
@@ -244,30 +254,8 @@ class TestStreamRngContract:
 
 
 # ----------------------------------------------------------------------
-# Vectorized per-edge latency draws
+# Per-edge latency draws
 # ----------------------------------------------------------------------
-
-
-@pytest.mark.skipif(_np is None, reason="numpy not available")
-class TestNumpyUniformBlock:
-    @pytest.mark.parametrize("seed,n", [(0, 1), (1, 17), (2, VECTOR_MIN_BATCH),
-                                        (3, 1024), (123456, 2500)])
-    def test_block_matches_scalar_loop_bit_for_bit(self, seed, n):
-        low, high = 0.0005, 0.0015
-        scalar, block = random.Random(seed), random.Random(seed)
-        expected = [scalar.uniform(low, high) for _ in range(n)]
-        assert _np_uniform_block(block, low, high, n) == expected
-
-    def test_generator_continues_exactly_after_block(self):
-        """The state transplant must leave the Python generator exactly
-        where the scalar loop would have — later scalar draws (and the
-        full generator state) agree."""
-        scalar, block = random.Random(777), random.Random(777)
-        [scalar.uniform(0.0, 1.0) for _ in range(1024)]
-        _np_uniform_block(block, 0.0, 1.0, 1024)
-        assert block.getstate() == scalar.getstate()
-        assert [block.uniform(0.0, 1.0) for _ in range(64)] == \
-            [scalar.uniform(0.0, 1.0) for _ in range(64)]
 
 
 class _Recorder(SimProcess):
@@ -281,10 +269,14 @@ class _Recorder(SimProcess):
         self.log.append((self.sim.now, sender, payload))
 
 
+class _LargeRefillNetwork(Network):
+    DRAW_BATCH = 1024
+
+
 def _drain_network(net_cls):
-    """1500+ sends per hot edge under uniform latency: v3's 1024-draw
-    refills vectorize (numpy present) while v2 stays on 64-draw scalar
-    batches; per-edge stream order makes the delivery times identical."""
+    """1500+ sends per hot edge under uniform latency, refilled 64 or
+    1024 draws at a time; per-edge stream order makes the delivery times
+    identical."""
     sim = Simulator(seed=5)
     net = net_cls(sim, UniformLatency(sim, 0.0005, 0.0015))
     procs = [_Recorder(pid, sim, net) for pid in range(3)]
@@ -304,12 +296,19 @@ def _drain_network(net_cls):
 
 class TestBatchedLatencyDraws:
     def test_draw_order_invariant_under_batch_size(self):
-        assert _drain_network(Network) == _drain_network(NetworkV3)
+        assert _drain_network(Network) == _drain_network(_LargeRefillNetwork)
 
 
 # ----------------------------------------------------------------------
-# Fault interleavings: fast-path latch equivalence
+# Fault interleavings: batched fan-out ≡ per-send delivery
 # ----------------------------------------------------------------------
+
+
+class _PerSendLatency(ConstantLatency):
+    """The same constant delay, but not exactly :class:`ConstantLatency`:
+    the network's exact-type check sends every fan-out down the per-send
+    path, which makes it the in-process reference for batching."""
+
 
 _N = 4
 
@@ -329,11 +328,11 @@ _FAULT_SCRIPT = st.lists(
 )
 
 
-def _run_fault_script(net_cls, script):
-    """Execute the timed op script; return every observable the two
-    network implementations could disagree on."""
+def _run_fault_script(latency_cls, script):
+    """Execute the timed op script; return every observable the batched
+    and per-send paths could disagree on."""
     sim = Simulator(seed=13)
-    net = net_cls(sim, ConstantLatency(0.001))
+    net = Network(sim, latency_cls(0.001))
     procs = [_Recorder(pid, sim, net) for pid in range(_N)]
 
     def apply(op):
@@ -375,25 +374,50 @@ class TestFaultLatchEquivalence:
     @given(script=_FAULT_SCRIPT)
     def test_interleaved_faults_byte_identical(self, script):
         """Whatever the cut/loss/crash timing — before, between, or at
-        the same instant as fan-outs — the latched v3 network tells the
-        same story as v2: traces, counters and per-channel stats."""
-        assert _run_fault_script(Network, script) == \
-            _run_fault_script(NetworkV3, script)
+        the same instant as fan-outs — the batching network tells the
+        same story as per-send delivery: traces, counters and
+        per-channel stats."""
+        assert _run_fault_script(ConstantLatency, script) == \
+            _run_fault_script(_PerSendLatency, script)
 
     def test_latch_backfills_fifo_clamp(self):
-        """Leaving the fast path mid-stream reconstructs the per-channel
-        FIFO clamp from the last fast fan-out, so post-latch deliveries
-        can never be scheduled before pre-latch ones."""
+        """Latching mid-stream reconstructs the per-channel FIFO clamp
+        from the last batched fan-out, so post-latch deliveries can never
+        be scheduled before pre-latch ones."""
         script = [
-            (0.0, ("mcast", 0)),       # fast-path fan-out at t=0
+            (0.0, ("mcast", 0)),       # batched fan-out at t=0
             (0.0, ("cut", 2, 3)),      # latch at the same instant
-            (0.0, ("mcast", 0)),       # now on the per-event path
+            (0.0, ("mcast", 0)),       # now on the per-send path
             (0.001, ("mcast", 1)),
         ]
-        a = _run_fault_script(Network, script)
-        b = _run_fault_script(NetworkV3, script)
+        a = _run_fault_script(_PerSendLatency, script)
+        b = _run_fault_script(ConstantLatency, script)
         assert a == b
         # Delivery timestamps per process are non-decreasing (FIFO held).
         for log in b["logs"]:
             times = [t for t, _, _ in log]
             assert times == sorted(times)
+
+    def test_pristine_fanout_is_one_event_until_latched(self):
+        """The mechanism itself: a pristine constant-latency fan-out is
+        one kernel event; the reference subclass and any fault-injection
+        call fall back to one event per destination."""
+        def pending_after_fanout(latency, fault=None):
+            sim = Simulator()
+            net = Network(sim, latency)
+            procs = [_Recorder(pid, sim, net) for pid in range(_N)]
+            if fault is not None:
+                fault(net)
+            procs[0].send_multicast([1, 2, 3], "m")
+            return sim.pending_events
+
+        assert pending_after_fanout(ConstantLatency(0.001)) == 1
+        assert pending_after_fanout(_PerSendLatency(0.001)) == 3
+        for fault in (
+            lambda net: net.cut(2, 3),
+            lambda net: net.partition({2}, {3}),
+            lambda net: net.set_drop_filter(None),
+            lambda net: net.set_delay_filter(None),
+            lambda net: net.set_link_fault(loss=0.0),
+        ):
+            assert pending_after_fanout(ConstantLatency(0.001), fault) == 3

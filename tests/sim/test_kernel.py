@@ -29,14 +29,6 @@ class TestScheduling:
         sim.run()
         assert order == [0, 1, 2, 3, 4]
 
-    def test_priority_overrides_insertion_order(self):
-        sim = Simulator()
-        order = []
-        sim.schedule(1.0, order.append, "late", priority=1)
-        sim.schedule(1.0, order.append, "early", priority=-1)
-        sim.run()
-        assert order == ["early", "late"]
-
     def test_clock_advances_to_event_time(self):
         sim = Simulator()
         seen = []
@@ -179,6 +171,15 @@ class TestRunControl:
             sim.schedule(float(i), lambda: None)
         sim.run()
         assert sim.events_processed == 3
+
+    def test_pending_events_counts_down_inside_run(self):
+        """Callbacks see the queue without their own event."""
+        sim = Simulator()
+        seen = []
+        for i in range(4):
+            sim.schedule(0.001 * i, lambda: seen.append(sim.pending_events))
+        sim.run()
+        assert seen == [3, 2, 1, 0]
 
 
 class TestRandomness:

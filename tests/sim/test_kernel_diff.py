@@ -36,11 +36,8 @@ FROZEN = json.loads((FIXTURES / "golden_kernel_diff.json").read_text())
 
 def _fingerprint(result):
     """sha256 of the canonical JSON of one ScenarioResult."""
-    data = result.to_dict()
-    data["config"].pop("engine", None)
-    return hashlib.sha256(
-        json.dumps(data, sort_keys=True).encode("utf-8")
-    ).hexdigest()
+    canonical = json.dumps(result.to_dict(), sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def assert_matches_frozen(build, frozen):

@@ -222,17 +222,24 @@ class TestPortability:
         with pytest.raises(SweepError, match="portable"):
             context_spec(bare)
 
-    def test_trace_context_spec_rebuilds_with_engine(self):
-        from repro.analysis.experiments import TraceContext, _trace_engine
+    def test_factory_context_spec_rebuilds(self):
+        """A context may advertise a ``{"kind": "factory"}`` recipe: the
+        worker imports the factory by path and calls it with the params."""
         from repro.workload import portable_workload
 
-        ctx = TraceContext(portable_workload("game", rounds=120), engine="v3")
-        spec = ctx.worker_recipe()
+        class FactoryContext:
+            def worker_recipe(self):
+                return {
+                    "kind": "factory",
+                    "path": "repro.workload:portable_workload",
+                    "params": {"name": "game", "rounds": 120},
+                }
+
+        spec = context_spec(FactoryContext())
+        assert spec["kind"] == "factory"
         rebuilt = worker_mod.build_context(spec)
-        trace, engine = _trace_engine(rebuilt)
-        assert engine == "v3"
-        assert trace.cache_token() == ctx.trace.cache_token()
-        assert ctx.cache_token().endswith("|engine=v3")
+        expected = portable_workload("game", rounds=120)
+        assert rebuilt.cache_token() == expected.cache_token()
 
 
 class TestWorkerProtocol:

@@ -52,11 +52,6 @@ class TestSchedulingSurface:
         with pytest.raises(SimulationError, match="cannot schedule at"):
             clock.schedule_at(-1.0, lambda: None)
 
-    def test_priority_accepted_and_ignored(self):
-        clock = WallClock()
-        handle = clock.schedule(0.5, lambda: None, priority=-3)
-        assert not handle.cancelled
-
 
 class TestRunContract:
     def test_run_needs_until(self):
