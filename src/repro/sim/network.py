@@ -553,8 +553,9 @@ class Network:
     def _stop_batching(self) -> None:
         """Latch the per-send path on for good (see the class docstring);
         called before any fault-injection knob takes effect."""
-        self._batching = False
-        self._flush_groups()
+        if self._batching:
+            self._batching = False
+            self._flush_groups()
 
     def _deliver(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
         proc = self._procs.get(dst)
