@@ -47,7 +47,7 @@ streams the protocol produces.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Set, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Set, Union
 
 from repro.core.message import DataMessage, MessageId, ViewDelivery
 from repro.core.obsolescence import ObsolescenceRelation
@@ -97,7 +97,7 @@ class DeliveryQueue:
 
     __slots__ = (
         "relation", "capacity", "_items", "_mids", "_doomed", "_size",
-        "_index", "_inert", "_live_index", "stats",
+        "_index", "_inert", "_live_index", "stats", "wake",
     )
 
     def __init__(
@@ -126,6 +126,10 @@ class DeliveryQueue:
         # disambiguates the two.
         self._live_index = None if self._inert else self._index
         self.stats = QueueStats()
+        #: Called with no arguments whenever an append turns the queue
+        #: from empty to non-empty — the wake-up of a parked
+        #: :class:`~repro.gcs.endpoint.RateLimitedConsumer`.
+        self.wake: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------
     # Basic container behaviour (live entries only)
@@ -205,6 +209,8 @@ class DeliveryQueue:
         stats.appended += 1
         if self._size > stats.max_len:
             stats.max_len = self._size
+        if self._size == 1 and self.wake is not None:
+            self.wake()
 
     def try_append(self, msg: QueueEntry) -> bool:
         """Purge-then-append for bounded queues.
@@ -243,6 +249,8 @@ class DeliveryQueue:
         stats.appended += 1
         if self._size > stats.max_len:
             stats.max_len = self._size
+        if self._size == 1 and self.wake is not None:
+            self.wake()
         return True
 
     def append_purge(self, msg: DataMessage) -> List[DataMessage]:
@@ -273,6 +281,8 @@ class DeliveryQueue:
         stats.appended += 1
         if self._size > stats.max_len:
             stats.max_len = self._size
+        if self._size == 1 and self.wake is not None:
+            self.wake()
         if not candidates:
             return []
         return self._remove_msgs(candidates, exclude=msg.mid)

@@ -665,6 +665,14 @@ class SVSProcess(SimProcess):
         # buffered by _route_consensus; it is drained when the instance is
         # created (first message for the new view, or our own t7).
 
+    def on_crash(self) -> None:
+        # A parked consumer (one idle on an empty queue, see
+        # repro.gcs.endpoint.RateLimitedConsumer) must still observe the
+        # crash at its next would-be tick, so the crash wakes it too.
+        wake = self.to_deliver.wake
+        if wake is not None:
+            wake()
+
     # ------------------------------------------------------------------
     # Rejoin (the recover/welcome extension; see repro.faults)
     # ------------------------------------------------------------------
@@ -690,7 +698,10 @@ class SVSProcess(SimProcess):
         self.excluded = False
         self.blocked = True
         self.joining = True
+        # The fresh queue keeps the consumer wake-up hook of the old one.
+        wake = self.to_deliver.wake
         self.to_deliver = DeliveryQueue(self.relation)
+        self.to_deliver.wake = wake
         self._delivered = {}
         self._global_pred = {}
         self._pred_received = {}

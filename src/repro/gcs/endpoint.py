@@ -18,7 +18,7 @@ pausable to inject the performance perturbations of Section 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from math import frexp, ldexp, ulp
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.message import DataMessage, View, ViewDelivery
@@ -151,6 +151,25 @@ class RateLimitedConsumer:
     queue is non-empty.  ``pause()``/``resume()`` implement the transient
     performance perturbations of Figure 5(b) (the
     :class:`~repro.sim.failure.PerturbationSchedule` protocol).
+
+    The service loop is event-driven but keeps the pop instants of a loop
+    that ticks every ``1/rate`` seconds forever:
+
+    * **Park.**  A tick that finds the queue empty does not re-arm; it
+      records ``now + service_time``, the instant its next tick would
+      have had.  (A paused consumer with a non-empty queue keeps ticking.)
+    * **Wake.**  The queue calls :meth:`_wake` when an append makes it
+      non-empty (:attr:`~repro.core.buffers.DeliveryQueue.wake`).  The
+      parked instant advances by the same float additions the ticking
+      loop would have made (``t += service_time`` while ``t < now``), and
+      one tick is scheduled there.  When that instant equals the append's,
+      the tick runs after the appending event.
+    * **Crash.**  A crash wakes a parked consumer the same way, so the
+      loop still dies exactly when a would-be tick falls inside the
+      outage, and :meth:`restart` revives it as before.  A rejoin's fresh
+      queue inherits the hook.
+
+    One consumer per queue: :meth:`start` claims the queue's hook.
     """
 
     def __init__(
@@ -168,6 +187,8 @@ class RateLimitedConsumer:
         self.consumed = 0
         self._started = False
         self._dead = False
+        # Instant of the next would-be tick while parked, else None.
+        self._parked_at: Optional[float] = None
 
     @property
     def service_time(self) -> float:
@@ -177,6 +198,7 @@ class RateLimitedConsumer:
         if self._started:
             return
         self._started = True
+        self.endpoint.process.to_deliver.wake = self._wake
         self.sim.schedule(self.service_time, self._tick)
 
     def pause(self) -> None:
@@ -191,7 +213,8 @@ class RateLimitedConsumer:
         The loop dies silently when it observes a crash; a rejoin (see
         :meth:`repro.gcs.stack.GroupStack.rejoin`) revives the process but
         not the consumer — the fault installer calls this afterwards.
-        No-op while the loop is still alive or never started.
+        No-op while the loop is still alive (ticking or parked) or never
+        started.
         """
         if not self._started or not self._dead or self.endpoint.process.crashed:
             return
@@ -202,7 +225,50 @@ class RateLimitedConsumer:
         if self.endpoint.process.crashed:
             self._dead = True
             return
-        if not self.paused and self.endpoint.pending:
+        if not self.endpoint.pending:
+            self._parked_at = self.sim.now + self.service_time
+            return
+        if not self.paused:
             self.endpoint.poll()
             self.consumed += 1
         self.sim.schedule(self.service_time, self._tick)
+
+    def _wake(self) -> None:
+        t = self._parked_at
+        if t is None:
+            return
+        self._parked_at = None
+        now = self.sim.now
+        t = _catch_up(t, self.service_time, now)
+        # Parking needs a tick at or after one service time, so now >= t/2
+        # and ``t - now`` is exact (Sterbenz): the kernel schedules at
+        # exactly t.  A live clock (repro.transport), whose now moves
+        # between reads, schedules relative to its own now instead of
+        # rejecting an instant that has just slipped into the past.
+        self.sim.schedule(t - now, self._tick)
+
+
+def _catch_up(t: float, step: float, now: float) -> float:
+    """Bit for bit ``while t < now: t += step; return t``, without taking
+    every step.
+
+    Within one binade ``[2**(e-1), 2**e)`` every float is a multiple of
+    the same ulp ``u``, so ``t + step`` rounds to ``t + d`` for a fixed
+    ``d`` — unless ``step`` sits exactly halfway between multiples of
+    ``u``, where round-half-to-even depends on ``t``; those binades are
+    walked step by step.  A jump of ``k`` steps stays strictly below the
+    binade's top, so every crossing into a coarser binade is a plain
+    addition.
+    """
+    while t < now:
+        d = (t + step) - t  # exact when step <= t (Sterbenz)
+        u = ulp(t)
+        if step > t or d == 0.0 or 2.0 * abs(step - d) == u:
+            t += step
+            continue
+        # In units of u every quantity below is an exact integer.
+        top = ldexp(1.0, frexp(t)[1])  # the next binade starts here
+        a, b = int(t / u), int(d / u)
+        k = min((int(top / u) - 1 - a) // b, -((a - int(now / u)) // b))
+        t = t + k * d if k > 0 else t + step
+    return t

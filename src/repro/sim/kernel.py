@@ -166,9 +166,9 @@ class Simulator:
     bucket) and ``span`` the number of slots covered before events spill to
     the overflow heap.  They are performance knobs only — ordering is
     independent of both.  The 8 ms default clusters the periods that
-    dominate this reproduction (consumer service times, heartbeats, game
-    rounds: 7–50 ms) a few events per slot, which benchmarked fastest
-    across the kernel workloads.
+    dominate this reproduction (heartbeats, game rounds: 7–50 ms) a few
+    events per slot, which benchmarked fastest across the kernel
+    workloads.
     """
 
     __slots__ = (
@@ -456,8 +456,10 @@ class Simulator:
 class PeriodicTimer:
     """Repeatedly invoke a callback at a fixed period.
 
-    The timer re-arms itself after each tick; :meth:`stop` halts it.  Used
-    by heartbeat failure detectors and rate-limited consumers.
+    The timer re-arms itself after each tick; :meth:`stop` halts it.  A
+    generic helper: heartbeats re-arm through process timers, and
+    rate-limited consumers park while their queue is empty
+    (:class:`~repro.gcs.endpoint.RateLimitedConsumer`).
     """
 
     sim: Simulator
