@@ -288,9 +288,6 @@ def run_script(consumer_cls, script):
         msg = DataMessage(MessageId(0, sn), proc.cv.vid, None, tag)
         getattr(proc.to_deliver, method)(msg)
 
-    def crash():
-        proc.crash()
-
     def recover():
         if proc.crashed:
             proc.recover()
@@ -303,7 +300,7 @@ def run_script(consumer_cls, script):
         events.append((a, consumer.pause, ()))
         events.append((b, consumer.resume, ()))
     for a, b in script["outages"]:
-        events.append((a, crash, ()))
+        events.append((a, proc.crash, ()))
         events.append((b, recover, ()))
     events.sort(key=lambda e: e[0])
     for at, callback, args in events:
@@ -348,8 +345,9 @@ def test_exact_tick_instant_append_pops_on_that_tick():
 
 
 def test_idle_consumer_parks():
-    """A consumer started on an empty queue ticks once, then not again
-    until the next append wakes it (pop tick, then the tick that parks)."""
+    """Over 3 s at 2000 msg/s, a consumer started on an empty queue runs
+    three ticks: the first parks it, and the append at 2.5 s wakes it for
+    one tick that pops and one that parks again."""
     script = {
         "rate": 2000.0, "start_at": 0.0, "drain_first": True,
         "appends": [(2.5, "try_append", 0)], "pauses": [], "outages": [],
