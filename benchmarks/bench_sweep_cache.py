@@ -25,7 +25,7 @@ import time
 
 from repro import workloads
 from repro.analysis.experiments import figure_4_sweep
-from repro.sweep import SweepCache
+from repro.sweep import RunOptions, SweepCache
 from repro.sweep.cache import cache_stats
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -44,12 +44,16 @@ def measure() -> dict:
         cache_dir = pathlib.Path(tmp) / "cache"
 
         start = time.perf_counter()
-        cold = figure_4_sweep(trace, rates=RATES, cache=SweepCache(cache_dir))
+        cold = figure_4_sweep(
+            trace, rates=RATES, run=RunOptions(cache=SweepCache(cache_dir))
+        )
         cold_s = time.perf_counter() - start
         after_cold = cache_stats(cache_dir)["counters"]
 
         start = time.perf_counter()
-        warm = figure_4_sweep(trace, rates=RATES, cache=SweepCache(cache_dir))
+        warm = figure_4_sweep(
+            trace, rates=RATES, run=RunOptions(cache=SweepCache(cache_dir))
+        )
         warm_s = time.perf_counter() - start
         counters = cache_stats(cache_dir)["counters"]
 

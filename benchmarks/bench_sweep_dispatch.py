@@ -34,7 +34,12 @@ import tempfile
 import time
 
 from repro.analysis.experiments import figure_4_sweep
-from repro.sweep import LocalPoolDispatch, SshDispatch, SubprocessDispatch
+from repro.sweep import (
+    LocalPoolDispatch,
+    RunOptions,
+    SshDispatch,
+    SubprocessDispatch,
+)
 from repro.workload import portable_workload
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -77,9 +82,11 @@ def ssh_localhost_works() -> bool:
         return False
 
 
-def _timed(trace, **kwargs):
+def _timed(trace, dispatch=None):
     start = time.perf_counter()
-    result = figure_4_sweep(trace, rates=RATES, **kwargs)
+    result = figure_4_sweep(
+        trace, rates=RATES, run=RunOptions(dispatch=dispatch)
+    )
     return time.perf_counter() - start, result.to_json()
 
 

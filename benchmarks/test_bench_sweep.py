@@ -11,7 +11,7 @@ import os
 from conftest import run_once
 
 from repro.analysis.experiments import figure_4a
-from repro.sweep import Sweep
+from repro.sweep import RunOptions, Sweep
 
 
 def _null_cell(params, seed, context):
@@ -39,6 +39,10 @@ def test_bench_figure_4a_sweep_parallel(benchmark, paper_trace):
     """The same grid with a worker pool sized to the machine."""
     workers = min(4, len(os.sched_getaffinity(0)))
     rows = run_once(
-        benchmark, figure_4a, paper_trace, buffer_size=15, workers=workers
+        benchmark,
+        figure_4a,
+        paper_trace,
+        buffer_size=15,
+        run=RunOptions(workers=workers),
     )
     assert len(rows) == 11

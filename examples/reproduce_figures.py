@@ -38,7 +38,7 @@ import argparse
 import time
 
 import repro.analysis.experiments as exp
-from repro.sweep import SweepCache
+from repro.sweep import RunOptions, SweepCache
 from repro.workload import portable_workload
 
 
@@ -51,8 +51,6 @@ def main():
     parser.add_argument("--report", default=None, metavar="DIR")
     args = parser.parse_args()
     fast = args.fast
-    workers = args.workers
-    dispatch = args.dispatch
     report = None
     if args.report:
         from repro.report import ReportBuilder
@@ -67,6 +65,7 @@ def main():
     # One cache serves every figure: its session counters accumulate
     # across all the sweeps below and flush once per sweep.
     cache = SweepCache(args.cache) if args.cache else None
+    run = RunOptions(workers=args.workers, cache=cache, dispatch=args.dispatch)
     if fast:
         # portable_workload stamps the rebuild recipe, so the fast trace
         # can cross a --dispatch subprocess/ssh worker boundary too.
@@ -77,7 +76,7 @@ def main():
         trace = exp.default_trace()
         buffers = exp.DEFAULT_BUFFERS
         probes = 8
-    grid = dict(workers=workers, cache=cache, dispatch=dispatch, report=report)
+    grid = dict(run=run, report=report)
 
     start = time.time()
     before = _counters(args.cache) if cache else None
@@ -88,14 +87,13 @@ def main():
     exp.figure_4b(trace, show=True, **grid)
     exp.figure_5a(trace, buffers=buffers, show=True, **grid)
     exp.figure_5b(trace, buffers=buffers, probes=probes, show=True, **grid)
-    exp.view_change_latency_table(show=True, **grid)
+    exp.view_change_latency_table(trace, show=True, **grid)
     exp.churn_table(show=True, **grid)
     exp.ablation_k(trace, show=True, **grid)
     exp.ablation_representation(trace, show=True, **grid)
-    exp.ablation_players(show=True, workers=workers, cache=cache,
-                         dispatch=dispatch, report=report)
+    exp.ablation_players(show=True, **grid)
     if report is not None:
-        _golden_delta(report, workers=workers, cache=cache, dispatch=dispatch)
+        _golden_delta(report, run)
     print(f"\ntotal wall-clock: {time.time() - start:.1f}s")
     if report is not None:
         if args.cache:
@@ -114,7 +112,7 @@ def main():
         )
 
 
-def _golden_delta(report, workers, cache, dispatch):
+def _golden_delta(report, run):
     """Recompute the golden Figure 4(a) grid and report the delta.
 
     The grid is the committed fixture's own configuration (1500-round
@@ -149,9 +147,7 @@ def _golden_delta(report, workers, cache, dispatch):
         trace,
         buffer_size=golden["buffer_size"],
         rates=golden["rates"],
-        workers=workers,
-        cache=cache,
-        dispatch=dispatch,
+        run=run,
     )
     report.add_golden_delta(
         "Golden fixture delta — Figure 4(a), 1500-round trace",

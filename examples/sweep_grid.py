@@ -30,14 +30,12 @@ import time
 
 from repro import ScenarioSweep
 from repro.analysis.experiments import figure_4_sweep
+from repro.sweep import RunOptions
 from repro.workload import portable_workload
 
 
-def figure_sweep(trace, rates, workers, cache=None, dispatch=None):
-    result = figure_4_sweep(
-        trace, buffer_size=15, rates=rates, workers=workers, cache=cache,
-        dispatch=dispatch,
-    )
+def figure_sweep(trace, rates, run):
+    result = figure_4_sweep(trace, buffer_size=15, rates=rates, run=run)
     print(f"\n== Figure 4(a) via one Sweep call ({result.n_runs} cells) ==")
     print(f"{'msg/s':>8} {'reliable':>10} {'semantic':>10}")
     for rate in rates:
@@ -49,7 +47,7 @@ def figure_sweep(trace, rates, workers, cache=None, dispatch=None):
         )
 
 
-def scenario_sweep(rounds, seeds, workers, out, cache=None, dispatch=None):
+def scenario_sweep(rounds, seeds, out, run):
     sweep = (
         ScenarioSweep(
             base={
@@ -65,7 +63,7 @@ def scenario_sweep(rounds, seeds, workers, out, cache=None, dispatch=None):
         .axis("n", [3, 5])
         .axis("latency_model", ["constant", "lognormal"])
     )
-    result = sweep.run(workers=workers, cache=cache, dispatch=dispatch)
+    result = sweep.run(**run.kwargs())
     assert result.ok, result.violations  # every cell was invariant-checked
     print(
         f"\n== Scenario grid: n × latency model, {seeds} seeds/cell "
@@ -90,8 +88,9 @@ def main():
     parser.add_argument("--cache", default=None, metavar="DIR")
     parser.add_argument("--dispatch", default=None, metavar="BACKEND")
     args = parser.parse_args()
-    cache = args.cache
-    dispatch = args.dispatch
+    run = RunOptions(
+        workers=args.workers, cache=args.cache, dispatch=args.dispatch
+    )
 
     # portable_workload stamps the rebuild recipe, so the trace context
     # survives a --dispatch subprocess/ssh worker boundary.
@@ -105,9 +104,8 @@ def main():
         rounds, seeds = 600, 3
 
     start = time.time()
-    figure_sweep(trace, rates, args.workers, cache=cache, dispatch=dispatch)
-    scenario_sweep(rounds, seeds, args.workers, args.out, cache=cache,
-                   dispatch=dispatch)
+    figure_sweep(trace, rates, run)
+    scenario_sweep(rounds, seeds, args.out, run)
     print(f"total wall-clock: {time.time() - start:.1f}s")
 
 

@@ -12,27 +12,25 @@ pass your own :class:`~repro.workload.trace.Trace` to reproduce them on
 other workloads.  The full-stack experiments (the view-change table) are
 assembled with the declarative :class:`~repro.scenario.Scenario` builder.
 
-Every grid-shaped experiment (Figures 4 and 5, the view-change table, the
-ablations) is expressed as a :class:`~repro.sweep.Sweep` over a
-module-level cell function, so each accepts ``workers=N`` to farm its
-cells out to a process pool — ``figure_5a(workers=4)`` reproduces the
-paper's buffer sweep in a quarter of the serial wall-clock, with the trace
-shipped to each worker once.  The cell functions double as reusable sweep
+Every grid-shaped experiment (Figures 4 and 5, the view-change table,
+churn, the ablations) is expressed as a :class:`~repro.sweep.Sweep` over a
+module-level cell function and takes one ``run=``
+:class:`~repro.sweep.RunOptions` saying how to run its cells:
+``figure_5a(run=RunOptions(workers=4))`` farms the paper's buffer sweep out
+to a process pool (the trace is shipped to each worker once), ``dispatch=``
+routes cells through a dispatch backend, and ``cache=`` — a directory path
+or :class:`~repro.sweep.cache.SweepCache` — memoises (cell, replicate)
+runs by content address, so a second ``figure_4a(run=RunOptions(
+cache=".sweep-cache"))`` computes nothing.  Results are identical for any
+options.  The trace context is folded into the cache keys via
+:meth:`~repro.workload.trace.Trace.cache_token`, so a ``--fast`` trace can
+never hit full-trace shards.  The cell functions double as reusable sweep
 runners: ``Sweep(...).run(_figure_4_cell, context=trace)`` is the raw form
-of :func:`figure_4a`.  Results are identical for any worker count.
-
-Every grid experiment also accepts ``cache=`` — a directory path or
-:class:`~repro.sweep.cache.SweepCache` — to memoise (cell, replicate)
-runs by content address: ``figure_4a(cache=".sweep-cache")`` computes
-nothing the second time, and one cache serves all figures of a
-``reproduce_figures.py --cache DIR`` run (Figures 4(a) and 4(b) share
-their grid outright).  The trace context is folded into the keys via
-:meth:`~repro.workload.trace.Trace.cache_token`, so a ``--fast`` trace
-can never hit full-trace shards.
+of :func:`figure_4a`.
 
 Every entry point also accepts ``report=`` — a
 :class:`repro.report.ReportBuilder` — and appends its tables (with
-Student-t ``ci95_t`` confidence intervals for the sweep-backed figures)
+Student-t ``ci95`` confidence intervals for the sweep-backed figures)
 and figure-style charts to it; ``examples/reproduce_figures.py --report
 DIR`` threads one builder through every figure and writes the combined
 markdown + HTML report.
@@ -48,19 +46,14 @@ from repro.analysis.throughput import (
     run_slow_receiver,
     threshold_rate,
 )
-from repro.analysis.viewchange import (
-    ViewChangeLatencyResult,
-    measure_view_change_latency,
-)
-from repro.registry import workloads
-from repro.sweep import Sweep, SweepResult
+from repro.analysis.viewchange import measure_view_change_latency
+from repro.sweep import RunOptions, Sweep, SweepResult
 from repro.workload.game import GameConfig, generate_game_trace
 from repro.workload.trace import (
     Trace,
     compute_stats,
     item_rank_profile,
     obsolescence_distances,
-    to_data_messages,
 )
 
 __all__ = [
@@ -328,10 +321,7 @@ def figure_4_sweep(
     trace: Optional[Trace] = None,
     buffer_size: int = 15,
     rates: Sequence[int] = DEFAULT_RATES,
-    workers: Optional[int] = None,
-    cache: Any = None,
-    dispatch: Any = None,
-    dispatch_params: Optional[Mapping[str, Any]] = None,
+    run: RunOptions = RunOptions(),
 ) -> SweepResult:
     """The full Figure 4 grid (both panels read from it)."""
     trace = trace or default_trace()
@@ -339,14 +329,7 @@ def figure_4_sweep(
         Sweep(base={"buffer_size": buffer_size})
         .axis("consumer_rate", list(rates))
         .axis("semantic", [False, True])
-        .run(
-            _figure_4_cell,
-            workers=workers,
-            context=trace,
-            cache=cache,
-            dispatch=dispatch,
-            dispatch_params=dispatch_params,
-        )
+        .run(_figure_4_cell, context=trace, **run.kwargs())
     )
 
 
@@ -368,16 +351,11 @@ def figure_4a(
     buffer_size: int = 15,
     rates: Sequence[int] = DEFAULT_RATES,
     show: bool = False,
-    workers: Optional[int] = None,
-    cache: Any = None,
-    dispatch: Any = None,
-    dispatch_params: Optional[Mapping[str, Any]] = None,
+    run: RunOptions = RunOptions(),
     report: Any = None,
 ) -> List[Tuple[int, float, float]]:
     """Figure 4(a): producer idle % vs consumer rate, reliable vs semantic."""
-    sweep = figure_4_sweep(
-        trace, buffer_size, rates, workers, cache, dispatch, dispatch_params,
-    )
+    sweep = figure_4_sweep(trace, buffer_size, rates, run)
     rows = _figure_4_rows(sweep, rates, "producer_idle_pct")
     if show:
         _print_rows(
@@ -402,16 +380,11 @@ def figure_4b(
     buffer_size: int = 15,
     rates: Sequence[int] = DEFAULT_RATES,
     show: bool = False,
-    workers: Optional[int] = None,
-    cache: Any = None,
-    dispatch: Any = None,
-    dispatch_params: Optional[Mapping[str, Any]] = None,
+    run: RunOptions = RunOptions(),
     report: Any = None,
 ) -> List[Tuple[int, float, float]]:
     """Figure 4(b): mean buffer occupancy vs consumer rate."""
-    sweep = figure_4_sweep(
-        trace, buffer_size, rates, workers, cache, dispatch, dispatch_params,
-    )
+    sweep = figure_4_sweep(trace, buffer_size, rates, run)
     rows = _figure_4_rows(sweep, rates, "mean_occupancy")
     if show:
         _print_rows(
@@ -453,10 +426,7 @@ def figure_5a(
     trace: Optional[Trace] = None,
     buffers: Sequence[int] = DEFAULT_BUFFERS,
     show: bool = False,
-    workers: Optional[int] = None,
-    cache: Any = None,
-    dispatch: Any = None,
-    dispatch_params: Optional[Mapping[str, Any]] = None,
+    run: RunOptions = RunOptions(),
     report: Any = None,
 ) -> List[Tuple[int, int, int]]:
     """Figure 5(a): minimum tolerable consumer rate vs buffer size."""
@@ -465,14 +435,7 @@ def figure_5a(
         Sweep()
         .axis("buffer_size", list(buffers))
         .axis("semantic", [False, True])
-        .run(
-            _figure_5a_cell,
-            workers=workers,
-            context=trace,
-            cache=cache,
-            dispatch=dispatch,
-            dispatch_params=dispatch_params,
-        )
+        .run(_figure_5a_cell, context=trace, **run.kwargs())
     )
     rows = [
         (
@@ -522,10 +485,7 @@ def figure_5b(
     buffers: Sequence[int] = DEFAULT_BUFFERS,
     probes: int = 8,
     show: bool = False,
-    workers: Optional[int] = None,
-    cache: Any = None,
-    dispatch: Any = None,
-    dispatch_params: Optional[Mapping[str, Any]] = None,
+    run: RunOptions = RunOptions(),
     report: Any = None,
 ) -> List[Tuple[int, float, float]]:
     """Figure 5(b): tolerated full-stop perturbation length vs buffer size."""
@@ -534,14 +494,7 @@ def figure_5b(
         Sweep(base={"probes": probes})
         .axis("buffer_size", list(buffers))
         .axis("semantic", [False, True])
-        .run(
-            _figure_5b_cell,
-            workers=workers,
-            context=trace,
-            cache=cache,
-            dispatch=dispatch,
-            dispatch_params=dispatch_params,
-        )
+        .run(_figure_5b_cell, context=trace, **run.kwargs())
     )
     rows = [
         (
@@ -599,10 +552,7 @@ def view_change_latency_table(
     slow_rate: float = 25.0,
     load_time: float = 30.0,
     show: bool = False,
-    workers: Optional[int] = None,
-    cache: Any = None,
-    dispatch: Any = None,
-    dispatch_params: Optional[Mapping[str, Any]] = None,
+    run: RunOptions = RunOptions(),
     report: Any = None,
 ) -> List[Tuple[str, int, int, float]]:
     """View change under load: backlog, purges, app-perceived latency."""
@@ -610,14 +560,7 @@ def view_change_latency_table(
     sweep = (
         Sweep(base={"slow_rate": slow_rate, "load_time": load_time})
         .axis("semantic", [False, True])
-        .run(
-            _view_change_cell,
-            workers=workers,
-            context=trace,
-            cache=cache,
-            dispatch=dispatch,
-            dispatch_params=dispatch_params,
-        )
+        .run(_view_change_cell, context=trace, **run.kwargs())
     )
     rows = []
     for semantic in (False, True):
@@ -745,10 +688,7 @@ def churn_table(
     periods: Sequence[float] = (1.0, 2.0),
     losses: Sequence[float] = (0.0, 0.05),
     show: bool = False,
-    workers: Optional[int] = None,
-    cache: Any = None,
-    dispatch: Any = None,
-    dispatch_params: Optional[Mapping[str, Any]] = None,
+    run: RunOptions = RunOptions(),
     report: Any = None,
 ) -> List[Tuple[float, float, int, int, float, float, int]]:
     """SVS under partition-heal churn: reliable vs semantic, per cell.
@@ -767,13 +707,7 @@ def churn_table(
         .axis("period", list(periods))
         .axis("loss", list(losses))
         .axis("semantic", [False, True])
-        .run(
-            _churn_cell,
-            workers=workers,
-            cache=cache,
-            dispatch=dispatch,
-            dispatch_params=dispatch_params,
-        )
+        .run(_churn_cell, **run.kwargs())
     )
     rows = []
     for period in periods:
@@ -856,10 +790,7 @@ def ablation_k(
     ks: Sequence[int] = (2, 5, 10, 15, 30, 60, 120),
     consumer_rate: int = 30,
     show: bool = False,
-    workers: Optional[int] = None,
-    cache: Any = None,
-    dispatch: Any = None,
-    dispatch_params: Optional[Mapping[str, Any]] = None,
+    run: RunOptions = RunOptions(),
     report: Any = None,
 ) -> List[Tuple[int, float, float]]:
     """Sensitivity to the k-enumeration window (paper picks k = 2×buffer).
@@ -871,14 +802,7 @@ def ablation_k(
     sweep = (
         Sweep(base={"buffer_size": buffer_size, "consumer_rate": consumer_rate})
         .axis("k", list(ks))
-        .run(
-            _ablation_cell,
-            workers=workers,
-            context=trace,
-            cache=cache,
-            dispatch=dispatch,
-            dispatch_params=dispatch_params,
-        )
+        .run(_ablation_cell, context=trace, **run.kwargs())
     )
     rows = [
         (
@@ -909,10 +833,7 @@ def ablation_representation(
     buffer_size: int = 15,
     consumer_rate: int = 30,
     show: bool = False,
-    workers: Optional[int] = None,
-    cache: Any = None,
-    dispatch: Any = None,
-    dispatch_params: Optional[Mapping[str, Any]] = None,
+    run: RunOptions = RunOptions(),
     report: Any = None,
 ) -> List[Tuple[str, float, float]]:
     """Compare the three obsolescence representations of Section 4.2.
@@ -925,14 +846,7 @@ def ablation_representation(
     sweep = (
         Sweep(base={"buffer_size": buffer_size, "consumer_rate": consumer_rate})
         .axis("representation", list(representations))
-        .run(
-            _ablation_cell,
-            workers=workers,
-            context=trace,
-            cache=cache,
-            dispatch=dispatch,
-            dispatch_params=dispatch_params,
-        )
+        .run(_ablation_cell, context=trace, **run.kwargs())
     )
     rows = [
         (
@@ -977,10 +891,7 @@ def ablation_players(
     players: Sequence[int] = (2, 5, 10, 16),
     rounds: int = 6000,
     show: bool = False,
-    workers: Optional[int] = None,
-    cache: Any = None,
-    dispatch: Any = None,
-    dispatch_params: Optional[Mapping[str, Any]] = None,
+    run: RunOptions = RunOptions(),
     report: Any = None,
 ) -> List[Tuple[int, float, float, float]]:
     """Player-count scaling (Section 5.2, last paragraph).
@@ -992,13 +903,7 @@ def ablation_players(
     sweep = (
         Sweep(base={"rounds": rounds})
         .axis("players", list(players))
-        .run(
-            _players_cell,
-            workers=workers,
-            cache=cache,
-            dispatch=dispatch,
-            dispatch_params=dispatch_params,
-        )
+        .run(_players_cell, **run.kwargs())
     )
     rows = [
         (

@@ -4,13 +4,11 @@ A :class:`FaultPlan` is an ordered collection of fault and membership
 events — :class:`Crash`, :class:`Recover`, :class:`Partition`,
 :class:`Heal`, :class:`LinkFault`, :class:`Perturb`, :class:`ViewChange` —
 that is validated up front and installed onto a
-:class:`~repro.gcs.stack.GroupStack` in one call.  It subsumes the legacy
-:class:`~repro.sim.failure.CrashSchedule` and
-:class:`~repro.sim.failure.PerturbationSchedule` (perturbations still run
-through the latter's reference-counted pause/resume machinery) and adds
-the environment misbehaviour the paper argues about but the repo could not
-previously model: symmetric network partitions, per-edge probabilistic
-loss/duplication/reordering, and crash-recover churn with state transfer.
+:class:`~repro.gcs.stack.GroupStack` in one call.  Besides crash-stop
+failures and the paper's transient perturbations it models the
+environment misbehaviour the paper argues about: symmetric network
+partitions, per-edge probabilistic loss/duplication/reordering, and
+crash-recover churn with state transfer.
 
 Determinism contract
 --------------------
@@ -39,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -51,7 +48,7 @@ from typing import (
 )
 
 from repro.core.message import DataMessage, Envelope
-from repro.sim.failure import Perturbation, PerturbationSchedule, check_time
+from repro.sim.failure import check_time
 from repro.sim.network import LinkFaultPolicy
 
 __all__ = [
@@ -311,6 +308,28 @@ _EVENT_TYPES: Dict[str, Type[FaultEvent]] = {
 }
 
 
+class _NestedPause:
+    """Reference-counted pause/resume of one consumer: overlapping
+    :class:`Perturb` windows stall it once, from the first pause to the
+    last resume."""
+
+    __slots__ = ("target", "depth")
+
+    def __init__(self, target: Any) -> None:
+        self.target = target
+        self.depth = 0
+
+    def pause(self) -> None:
+        self.depth += 1
+        if self.depth == 1:
+            self.target.pause()
+
+    def resume(self) -> None:
+        self.depth -= 1
+        if self.depth == 0:
+            self.target.resume()
+
+
 class FaultPlan:
     """An immutable, validated sequence of fault events.
 
@@ -451,17 +470,18 @@ class FaultPlan:
         self._installed = True
         sim = stack.sim
 
-        # Perturbations first, grouped per pid through the legacy
-        # reference-counted schedule — byte-identical scheduling to the
-        # pre-FaultPlan Scenario wiring.
-        by_pid: Dict[int, List[Perturbation]] = {}
+        # Perturbations first, pids sorted, and per pid a pause at the
+        # start and a resume at the end of each window in event order —
+        # the scheduling order the golden fixtures pin.
+        by_pid: Dict[int, List[Perturb]] = {}
         for event in self.events:
             if isinstance(event, Perturb):
-                by_pid.setdefault(event.pid, []).append(
-                    Perturbation(event.at, event.duration)
-                )
+                by_pid.setdefault(event.pid, []).append(event)
         for pid in sorted(by_pid):
-            PerturbationSchedule(sim, consumers[pid], by_pid[pid]).install()
+            stall = _NestedPause(consumers[pid])
+            for event in by_pid[pid]:
+                sim.schedule_at(event.at, stall.pause)
+                sim.schedule_at(event.at + event.duration, stall.resume)
 
         for event in self.events:
             if isinstance(event, Perturb):

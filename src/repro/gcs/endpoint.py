@@ -149,8 +149,8 @@ class RateLimitedConsumer:
     Models "the time it takes for the slower process to consume each
     message" (Section 5.3): one message every ``1/rate`` seconds while the
     queue is non-empty.  ``pause()``/``resume()`` implement the transient
-    performance perturbations of Figure 5(b) (the
-    :class:`~repro.sim.failure.PerturbationSchedule` protocol).
+    performance perturbations of Figure 5(b) (what a
+    :class:`~repro.faults.Perturb` event drives).
 
     The service loop is event-driven but keeps the pop instants of a loop
     that ticks every ``1/rate`` seconds forever:

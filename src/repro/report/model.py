@@ -188,10 +188,9 @@ class ReportBuilder:
     ) -> "ReportBuilder":
         """One section per sweep: a CI table, the chart, the violations.
 
-        The CI table quotes ``mean ± ci95_t`` — the Student-t interval of
+        The CI table quotes ``mean ± ci95`` — the Student-t interval of
         :func:`repro.sweep.result.summarise`, correct at the 3–5
-        replicates sweeps actually run — with the legacy normal-z
-        ``ci95`` available in the raw JSON for comparison.  With ``x``,
+        replicates sweeps actually run.  With ``x``,
         ``series`` and ``chart_metric`` given, a figure-style line chart
         (one line per ``series`` value, e.g. reliable vs semantic) is
         added alongside.

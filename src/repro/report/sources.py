@@ -4,8 +4,8 @@ Three JSON shapes flow out of the repro pipeline and all of them can be
 reported on:
 
 * a :class:`~repro.sweep.result.SweepResult` dump (``cells`` + ``axes``)
-  — CI tables use the corrected Student-t intervals (``ci95_t``), charts
-  come from cell coordinates;
+  — CI tables quote the Student-t intervals (``ci95``), charts come from
+  cell coordinates;
 * a :class:`~repro.scenario.result.ScenarioResult` dump (``histories`` +
   ``metrics``) — a fault run is exactly this shape, with its violations
   and fault config along for the ride;
@@ -55,12 +55,10 @@ def _cell_label(params: Mapping[str, Any], axes: Sequence[str]) -> str:
 def sweep_ci_table(
     sweep: Any, metrics: Optional[Sequence[str]] = None
 ) -> Tuple[List[str], List[List[str]]]:
-    """(header, rows): one row per cell, ``mean ± ci95_t (n)`` per metric.
+    """(header, rows): one row per cell, ``mean ± ci95 (n)`` per metric.
 
-    ``ci95_t`` is the Student-t 95 % half-width of
-    :func:`repro.sweep.result.summarise` — the normal-z ``ci95`` is kept
-    in the raw JSON but deliberately not quoted here: at sweep-scale
-    replicate counts (3–5) z understates the interval by up to 2×.
+    ``ci95`` is the Student-t 95 % half-width of
+    :func:`repro.sweep.result.summarise`.
     """
     axes = list(sweep.axes)
     if metrics is None:
@@ -84,7 +82,7 @@ def sweep_ci_table(
                 continue
             if stats.n > 1:
                 row.append(
-                    f"{fmt_value(stats.mean)} ± {fmt_value(stats.ci95_t)} "
+                    f"{fmt_value(stats.mean)} ± {fmt_value(stats.ci95)} "
                     f"(n={stats.n})"
                 )
             else:

@@ -79,7 +79,6 @@ from repro.registry import (
     workloads as workload_registry,
 )
 from repro.scenario.result import ScenarioResult, serialize_histories
-from repro.sim.failure import Perturbation
 from repro.workload.trace import Trace, to_data_messages
 
 __all__ = ["Scenario", "LiveScenario", "ScenarioError", "KNOWN_METRICS"]
@@ -156,7 +155,7 @@ class Scenario:
         self._drivers: List[Callable[["LiveScenario"], None]] = []
         self._consumer_specs: List[Tuple[Optional[Tuple[int, ...]], float]] = []
         self._drain_period: Optional[float] = None
-        self._perturbations: List[Tuple[int, Perturbation]] = []
+        self._perturbations: List[PerturbEvent] = []
         self._crashes: List[Tuple[int, float]] = []
         self._recovers: List[RecoverEvent] = []
         self._view_changes: List[Tuple[int, float]] = []
@@ -370,13 +369,12 @@ class Scenario:
     def perturb(self, pid: int, at: float, duration: float) -> "Scenario":
         """Stall ``pid``'s consumer completely for ``[at, at + duration)`` —
         the paper's transient performance perturbation (Section 2)."""
-        if at < 0:
-            raise ScenarioError(f"perturbation start must be non-negative: {at}")
-        if duration <= 0:
-            raise ScenarioError(
-                f"perturbation duration must be positive: {duration}"
+        try:
+            self._perturbations.append(
+                PerturbEvent(at=at, pid=pid, duration=duration)
             )
-        self._perturbations.append((pid, Perturbation(at, duration)))
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
         return self
 
     def crash(self, pid: int, at: float) -> "Scenario":
@@ -708,10 +706,7 @@ class LiveScenario:
         # FaultPlan and installed together.  A fresh plan is built per
         # LiveScenario so the same Scenario can be built repeatedly; the
         # event order below reproduces the legacy wiring byte-for-byte.
-        events: List[FaultEvent] = [
-            PerturbEvent(at=p.start, pid=pid, duration=p.duration)
-            for pid, p in spec._perturbations
-        ]
+        events: List[FaultEvent] = list(spec._perturbations)
         events.extend(
             CrashEvent(at=at, pid=pid) for pid, at in spec._crashes
         )
@@ -767,8 +762,8 @@ class LiveScenario:
         for pids, _rate in spec._consumer_specs:
             for pid in pids or ():
                 need(pid, "consumers()")
-        for pid, _p in spec._perturbations:
-            need(pid, "perturb()")
+        for event in spec._perturbations:
+            need(event.pid, "perturb()")
         for pid, _at in spec._crashes:
             need(pid, "crash()")
         for pid, _at in spec._view_changes:
@@ -780,11 +775,11 @@ class LiveScenario:
         consumer_pids = set()
         for pids, _rate in spec._consumer_specs:
             consumer_pids.update(pids if pids is not None else members)
-        for pid, _p in spec._perturbations:
-            if pid not in consumer_pids:
+        for event in spec._perturbations:
+            if event.pid not in consumer_pids:
                 raise ScenarioError(
-                    f"perturb(pid={pid}) requires a consumer on that process "
-                    f"(perturbations stall the consumer)"
+                    f"perturb(pid={event.pid}) requires a consumer on that "
+                    f"process (perturbations stall the consumer)"
                 )
 
     # ------------------------------------------------------------------

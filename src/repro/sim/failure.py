@@ -1,60 +1,21 @@
-"""Fault and perturbation injection (legacy schedules).
+"""Shared validators for fault times and interval knobs.
 
-The paper distinguishes two phenomena:
-
-* **crash-stop failures** — a process halts permanently (Section 3.1); and
-* **performance perturbations** — a process (or its disk, scheduler, VM
-  subsystem, ...) transiently slows down or stalls *without* being faulty
-  (Sections 1-2).  These are the phenomenon SVS is designed to absorb.
-
-:class:`CrashSchedule` injects the former; :class:`PerturbationSchedule`
-injects the latter by pausing/resuming a *rate-limited consumer* (anything
-exposing ``pause()``/``resume()``).  Both are driven off the simulator so
-experiments are reproducible.
-
-.. deprecated::
-    These two classes predate :class:`repro.faults.FaultPlan`, which
-    expresses the same events (plus partitions, lossy links, rejoin churn)
-    declaratively, validates them up front and is sweepable.  They are kept
-    working — :class:`~repro.faults.FaultPlan` installs perturbations
-    through :class:`PerturbationSchedule`'s reference-counted pause/resume
-    machinery — but new code should build a fault plan instead.
+:mod:`repro.faults` schedules crash-stop failures and performance
+perturbations declaratively; these checks are the one definition its
+events, the SVS layer and the group stack validate their times and
+retry intervals with, so the validation surfaces cannot diverge.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Sequence, Tuple
 
-from repro.sim.kernel import Simulator
-from repro.sim.process import SimProcess
-
-__all__ = [
-    "Pausable",
-    "ScheduleError",
-    "check_time",
-    "check_positive",
-    "CrashSchedule",
-    "Perturbation",
-    "PerturbationSchedule",
-]
+__all__ = ["check_time", "check_positive"]
 
 
-class ScheduleError(ValueError, RuntimeError):
-    """An invalid fault schedule: bad times, unknown targets, double install.
-
-    Subclasses both :class:`ValueError` (the documented contract shared
-    with :class:`repro.faults.FaultPlan`) and :class:`RuntimeError` (what
-    the original double-``install()`` raised), so historical ``except``
-    clauses keep working.
-    """
-
-
-def check_time(value: float, what: str, exc: type = ScheduleError) -> None:
+def check_time(value: float, what: str, exc: type = ValueError) -> None:
     """Reject anything but a finite non-negative number (NaN fails the
-    ``>= 0`` comparison).  Shared by the legacy schedules and
-    :mod:`repro.faults` so the two validation surfaces cannot diverge."""
+    ``>= 0`` comparison)."""
     if not isinstance(value, (int, float)) or not (value >= 0):
         raise exc(f"{what} must be a non-negative number: {value!r}")
     if math.isinf(value):
@@ -63,124 +24,10 @@ def check_time(value: float, what: str, exc: type = ScheduleError) -> None:
 
 def check_positive(value: float, what: str, exc: type = ValueError) -> None:
     """Reject anything but a finite strictly-positive number (NaN fails
-    the ``> 0`` comparison).  Shared by the retry/interval knobs across
-    the stack so their validation cannot diverge either."""
+    the ``> 0`` comparison)."""
     if (
         not isinstance(value, (int, float))
         or not (value > 0)
         or math.isinf(value)
     ):
         raise exc(f"{what} must be a positive finite number: {value!r}")
-
-
-class Pausable(Protocol):
-    """Anything whose progress can be suspended and resumed."""
-
-    def pause(self) -> None: ...
-
-    def resume(self) -> None: ...
-
-
-@dataclass
-class CrashSchedule:
-    """Crash given processes at given simulated times.
-
-    ``crashes`` is a sequence of ``(time, process)`` pairs.  Call
-    :meth:`install` once after constructing the processes; the schedule
-    validates itself there (negative/NaN times, non-process targets and
-    double installation all raise :class:`ScheduleError`).
-    """
-
-    sim: Simulator
-    crashes: Sequence[Tuple[float, SimProcess]]
-    installed: bool = field(default=False, init=False)
-
-    def install(self) -> None:
-        if self.installed:
-            raise ScheduleError("crash schedule already installed")
-        for time, proc in self.crashes:
-            check_time(time, "crash time")
-            if not callable(getattr(proc, "crash", None)):
-                raise ScheduleError(
-                    f"crash target has no crash() method: {proc!r}"
-                )
-        self.installed = True
-        for time, proc in self.crashes:
-            self.sim.schedule_at(time, proc.crash)
-
-
-@dataclass(frozen=True)
-class Perturbation:
-    """A transient stall: the target makes no progress in [start, start+duration)."""
-
-    start: float
-    duration: float
-
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
-
-class PerturbationSchedule:
-    """Apply a sequence of :class:`Perturbation` windows to a pausable target.
-
-    Overlapping perturbations are merged implicitly: pause/resume calls are
-    reference-counted so nested windows behave sensibly.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        target: Pausable,
-        perturbations: Sequence[Perturbation],
-    ) -> None:
-        self.sim = sim
-        self.target = target
-        self.perturbations = list(perturbations)
-        self._depth = 0
-        self._installed = False
-
-    def install(self) -> None:
-        if self._installed:
-            raise ScheduleError("perturbation schedule already installed")
-        for p in self.perturbations:
-            check_time(p.start, "perturbation start")
-            check_time(p.duration, "perturbation duration")
-        self._installed = True
-        for p in self.perturbations:
-            self.sim.schedule_at(p.start, self._pause)
-            self.sim.schedule_at(p.end, self._resume)
-
-    def _pause(self) -> None:
-        self._depth += 1
-        if self._depth == 1:
-            self.target.pause()
-
-    def _resume(self) -> None:
-        self._depth -= 1
-        if self._depth == 0:
-            self.target.resume()
-
-    @property
-    def total_stall_time(self) -> float:
-        """Total stalled duration assuming no overlap (diagnostic)."""
-        return sum(p.duration for p in self.perturbations)
-
-
-def periodic_perturbations(
-    first_start: float,
-    duration: float,
-    period: float,
-    count: int,
-) -> List[Perturbation]:
-    """Build ``count`` equally spaced stalls of equal ``duration``.
-
-    Convenience used by the throughput experiments: the paper studies "a
-    receiver that completely stops to process messages" for a bounded window
-    (Figure 5(b)); sweeping ``duration`` finds the tolerance limit.
-    """
-    if period <= 0 or count < 0:
-        raise ValueError("period must be positive and count non-negative")
-    return [
-        Perturbation(first_start + i * period, duration) for i in range(count)
-    ]

@@ -19,7 +19,7 @@ sequence of ``schedule`` calls produce identical event orders:
 Event storage (kernel v2)
 -------------------------
 
-The v1 kernel kept one global binary heap of ``(key, Event)`` pairs; every
+The v1 kernel kept one global binary heap of ``(key, event)`` pairs; every
 event paid a frozen-dataclass construction, a nested sort-key tuple and an
 O(log n) push/pop against the whole pending set, and cancelled events sat
 in the heap as tombstones until their key surfaced.  v2 replaces this with
@@ -49,7 +49,6 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
-    "Event",
     "EventHandle",
     "Simulator",
     "SimulationError",
@@ -65,7 +64,7 @@ class SimulationError(RuntimeError):
 class EventHandle(list):
     """A scheduled callback: its ordering key, payload and cancel flag.
 
-    v1 split this across an immutable ``Event`` record, a cancellable
+    v1 split this across an immutable event record, a cancellable
     handle wrapper and a nested sort-key tuple — three allocations and a
     Python-level ``__init__`` per event.  v2 merges all of it into one
     list subclass with layout ``[time, seq, callback, args, cancelled]``:
@@ -111,10 +110,6 @@ class EventHandle(list):
         state = " cancelled" if self[4] else ""
         return f"EventHandle(t={self[0]:.6f}, seq={self[1]}{state})"
 
-
-#: Backwards-compatible alias: v1 exposed a separate immutable ``Event``
-#: record; v2's handle carries the same fields.
-Event = EventHandle
 
 #: Queue entries *are* the handles (see :class:`EventHandle`).
 _Entry = EventHandle

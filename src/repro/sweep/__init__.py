@@ -11,13 +11,15 @@ per metric with a lossless JSON round trip.
 Reproducing Figure 4(a) is one sweep call::
 
     from repro.analysis.experiments import figure_4_sweep
+    from repro.sweep import RunOptions
 
-    result = figure_4_sweep(workers=4)     # the whole Figure 4 grid
+    result = figure_4_sweep(run=RunOptions(workers=4))   # the whole grid
     idle = result.select(consumer_rate=28, semantic=True)
     print(idle.value("producer_idle_pct"))
 
-(or simply ``figure_4a(workers=4)`` — every grid experiment of
-:mod:`repro.analysis.experiments` is built on this API).
+(or simply ``figure_4a(run=RunOptions(workers=4))`` — every grid
+experiment of :mod:`repro.analysis.experiments` is built on this API and
+takes one :class:`~repro.sweep.executor.RunOptions`).
 
 Full-stack grids use :class:`~repro.sweep.scenario.ScenarioSweep`, whose
 cells are declarative :class:`~repro.scenario.Scenario` specs; every cell
@@ -85,6 +87,7 @@ from repro.sweep.dispatch import (
     parse_hostfile,
 )
 from repro.sweep.executor import (
+    RunOptions,
     SweepCellError,
     SweepInvariantError,
     flatten_metrics,
@@ -125,6 +128,7 @@ __all__ = [
     "SCENARIO_CELL_KEYS",
     "ScenarioSweep",
     "scenario_cell",
+    "RunOptions",
     "run_sweep",
     "flatten_metrics",
     "canonical_params",

@@ -242,12 +242,10 @@ class LocalPoolDispatch(DispatchBackend):
     def __init__(
         self,
         workers: Optional[int] = None,
-        mp_context: Optional[str] = None,
         chunksize: Union[int, str, None] = None,
     ) -> None:
         super().__init__()
         self.workers = max(1, int(workers) if workers else 2)
-        self.mp_context = mp_context
         self.chunksize = chunksize
 
     def execute(self, job: DispatchJob) -> None:
@@ -260,12 +258,7 @@ class LocalPoolDispatch(DispatchBackend):
         )
         self.stats = stats
         started = time.perf_counter()
-        ctx = (
-            multiprocessing.get_context(self.mp_context)
-            if self.mp_context is not None
-            else multiprocessing.get_context()
-        )
-        with ctx.Pool(
+        with multiprocessing.get_context().Pool(
             processes=self.workers,
             initializer=_init_worker,
             initargs=(job.runner, job.context, job.keep_results),
@@ -725,7 +718,6 @@ class SshDispatch(FramedDispatch):
 def resolve_backend(
     dispatch: Union[str, DispatchBackend],
     workers: Optional[int] = None,
-    mp_context: Optional[str] = None,
     chunksize: Union[int, str, None] = None,
     params: Optional[Mapping[str, Any]] = None,
 ) -> DispatchBackend:
@@ -733,7 +725,7 @@ def resolve_backend(
 
     A backend instance passes through untouched; a registry name is
     instantiated with ``params`` plus whichever of ``workers`` /
-    ``mp_context`` / ``chunksize`` its factory signature accepts.
+    ``chunksize`` its factory signature accepts.
     """
     if isinstance(dispatch, DispatchBackend):
         if params:
@@ -761,11 +753,7 @@ def resolve_backend(
         )
     except (TypeError, ValueError):  # pragma: no cover - C factories
         accepted, has_var = set(), True
-    for key, value in (
-        ("workers", workers),
-        ("mp_context", mp_context),
-        ("chunksize", chunksize),
-    ):
+    for key, value in (("workers", workers), ("chunksize", chunksize)):
         if value is not None and key not in kwargs and (has_var or key in accepted):
             kwargs[key] = value
     return factory(**kwargs)

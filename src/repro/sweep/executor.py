@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import pathlib
 import traceback
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.scenario.result import ScenarioResult
@@ -38,6 +39,7 @@ from repro.sweep.grid import Sweep, SweepError
 from repro.sweep.result import CellResult, CellRun, SweepResult
 
 __all__ = [
+    "RunOptions",
     "run_sweep",
     "flatten_metrics",
     "SweepCellError",
@@ -214,6 +216,26 @@ def _run_task(task: _Task) -> Tuple[int, int, CellRun]:
 # ----------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class RunOptions:
+    """How a sweep-backed entry point runs its cells.
+
+    Bundles the scheduling and memoisation keywords of :func:`run_sweep`
+    so an entry point takes one ``run=RunOptions(workers=4, cache=DIR)``
+    and threads it through unchanged.  :func:`run_sweep` stays the only
+    place those values are validated.
+    """
+
+    workers: Optional[int] = None
+    cache: Optional[Union[str, pathlib.Path, SweepCache]] = None
+    dispatch: Any = None
+    dispatch_params: Optional[Mapping[str, Any]] = None
+
+    def kwargs(self) -> Dict[str, Any]:
+        """The options as :func:`run_sweep` keyword arguments."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 def run_sweep(
     sweep: Sweep,
     runner: Callable[..., Any],
@@ -222,7 +244,6 @@ def run_sweep(
     on_violation: str = "raise",
     keep_results: bool = False,
     progress: Optional[Callable[[int, int, CellRun], None]] = None,
-    mp_context: Optional[str] = None,
     cache: Optional[Union[str, pathlib.Path, SweepCache]] = None,
     chunksize: Union[int, str, None] = None,
     dispatch: Any = None,
@@ -232,9 +253,8 @@ def run_sweep(
 
     ``workers=0``/``None``/``1`` runs serially in-process; ``workers>=2``
     fans cells out to the ``local-pool`` dispatch backend — a
-    :mod:`multiprocessing` pool (``mp_context`` picks the start method;
-    the platform default otherwise) whose ``chunksize`` adapts to the
-    task count unless pinned here.  ``progress`` is called in the parent
+    :mod:`multiprocessing` pool whose ``chunksize`` adapts to the task
+    count unless pinned here.  ``progress`` is called in the parent
     as ``progress(done, total, run)`` after every completed replicate.
 
     ``dispatch`` selects any registered dispatch backend by name (or
@@ -320,16 +340,13 @@ def run_sweep(
             backend = resolve_backend(
                 dispatch,
                 workers=workers if workers else None,
-                mp_context=mp_context,
                 chunksize=chunksize,
                 params=dispatch_params,
             )
         elif workers is not None and workers > 1:
             from repro.sweep.dispatch import LocalPoolDispatch
 
-            backend = LocalPoolDispatch(
-                workers=workers, mp_context=mp_context, chunksize=chunksize
-            )
+            backend = LocalPoolDispatch(workers=workers, chunksize=chunksize)
         elif dispatch_params:
             raise SweepError("dispatch_params requires dispatch=<backend>")
 

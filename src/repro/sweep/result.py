@@ -43,7 +43,7 @@ _T_95 = {
     40: 2.021, 60: 2.000, 120: 1.980,
 }
 
-#: Large-sample limit (the normal z value the legacy ``ci95`` field uses).
+#: Large-sample limit: the normal z value.
 _Z_95 = 1.96
 
 
@@ -68,11 +68,9 @@ def t_critical(df: int) -> float:
 class MetricStats:
     """Mean/CI summary of one metric across a cell's replicates.
 
-    ``ci95`` is the historical normal-approximation half-width (z=1.96
-    regardless of n) and is kept byte-identical for golden fixtures;
-    ``ci95_t`` is the corrected small-sample half-width using the
-    Student-t critical value at n-1 degrees of freedom — what reports
-    should quote at the 3–5 replicates sweeps typically run.
+    ``ci95`` is the 95 % half-width using the Student-t critical value at
+    n-1 degrees of freedom — correct at the 3–5 replicates sweeps
+    typically run, where the normal z=1.96 would understate it.
     """
 
     mean: float
@@ -81,26 +79,21 @@ class MetricStats:
     n: int
     min: float
     max: float
-    ci95_t: float = 0.0
 
 
 def summarise(values: List[float]) -> MetricStats:
-    """Sample statistics with normal- and t-based 95 % intervals."""
+    """Sample statistics with the Student-t 95 % interval."""
     n = len(values)
     mean = sum(values) / n
     if n > 1:
         variance = sum((v - mean) ** 2 for v in values) / (n - 1)
         std = math.sqrt(variance)
-        sem = std / math.sqrt(n)
-        ci95 = _Z_95 * sem
-        ci95_t = t_critical(n - 1) * sem
+        ci95 = t_critical(n - 1) * std / math.sqrt(n)
     else:
         std = 0.0
         ci95 = 0.0
-        ci95_t = 0.0
     return MetricStats(
-        mean=mean, std=std, ci95=ci95, n=n, min=min(values), max=max(values),
-        ci95_t=ci95_t,
+        mean=mean, std=std, ci95=ci95, n=n, min=min(values), max=max(values)
     )
 
 

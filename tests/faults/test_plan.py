@@ -23,6 +23,20 @@ def make_stack(n=3):
     return GroupStack(ItemTagging(), StackConfig(n=n, consensus="oracle"))
 
 
+class FakePausable:
+    """Records each pause()/resume() with the simulated time it ran at."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.log = []
+
+    def pause(self):
+        self.log.append(("pause", self.sim.now))
+
+    def resume(self):
+        self.log.append(("resume", self.sim.now))
+
+
 class TestEventValidation:
     def test_negative_time_rejected(self):
         with pytest.raises(FaultPlanError):
@@ -66,6 +80,8 @@ class TestEventValidation:
             Perturb(at=1.0, pid=0, duration=0.0)
         with pytest.raises(FaultPlanError):
             Perturb(at=1.0, pid=0, duration=math.nan)
+        with pytest.raises(FaultPlanError):
+            Perturb(at=1.0, pid=0, duration=-1.0)
 
     def test_partition_sides_must_not_overlap(self):
         with pytest.raises(FaultPlanError):
@@ -153,6 +169,61 @@ class TestInstallValidation:
         )
         assert len(combined) == 2
         assert combined.referenced_pids() == (0,)
+
+
+class TestPerturbWindows:
+    """FaultPlan stalls a consumer with reference-counted pause/resume."""
+
+    def run_windows(self, windows, pid=0):
+        stack = make_stack()
+        target = FakePausable(stack.sim)
+        FaultPlan(
+            [Perturb(at=at, pid=pid, duration=d) for at, d in windows]
+        ).install(stack, consumers={pid: target})
+        stack.run(until=6.0)
+        return target.log
+
+    def test_one_window_one_cycle(self):
+        assert self.run_windows([(1.0, 0.5)]) == [
+            ("pause", 1.0), ("resume", 1.5),
+        ]
+
+    def test_overlapping_windows_merge(self):
+        # One logical stall from 1.0 to 4.0, not two.
+        assert self.run_windows([(1.0, 2.0), (2.0, 2.0)]) == [
+            ("pause", 1.0), ("resume", 4.0),
+        ]
+
+    def test_disjoint_windows_each_cycle(self):
+        assert self.run_windows([(1.0, 0.5), (3.0, 0.5)]) == [
+            ("pause", 1.0), ("resume", 1.5), ("pause", 3.0), ("resume", 3.5),
+        ]
+
+    def test_windows_on_different_pids_do_not_merge(self):
+        stack = make_stack()
+        first, second = FakePausable(stack.sim), FakePausable(stack.sim)
+        FaultPlan(
+            [
+                Perturb(at=2.0, pid=1, duration=2.0),
+                Perturb(at=1.0, pid=0, duration=2.0),
+            ]
+        ).install(stack, consumers={0: first, 1: second})
+        stack.run(until=6.0)
+        assert first.log == [("pause", 1.0), ("resume", 3.0)]
+        assert second.log == [("pause", 2.0), ("resume", 4.0)]
+
+    def test_failed_install_schedules_nothing(self):
+        """Validation precedes scheduling: a bad event late in the plan
+        must not leave the earlier ones half-installed."""
+        stack = make_stack()
+        target = FakePausable(stack.sim)
+        plan = FaultPlan(
+            [Perturb(at=1.0, pid=0, duration=0.5), Crash(at=1.0, pid=9)]
+        )
+        with pytest.raises(FaultPlanError, match="unknown process 9"):
+            plan.install(stack, consumers={0: target})
+        stack.run(until=2.0)
+        assert target.log == []
 
 
 class TestDictRoundTrip:

@@ -18,6 +18,7 @@ import pytest
 
 import repro.analysis.experiments as exp
 from repro.report import ReportBuilder
+from repro.sweep import RunOptions
 from repro.workload.game import GameConfig, generate_game_trace
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_report.md"
@@ -28,14 +29,14 @@ BUFFER = 15
 RATES = (80, 30)
 
 
-def build_markdown(**grid) -> str:
+def build_markdown(run: RunOptions = RunOptions()) -> str:
     trace = generate_game_trace(GameConfig(rounds=ROUNDS, seed=SEED))
     builder = ReportBuilder(
         "Golden report — Figure 4(a), 600-round trace",
         subtitle="Fixture for tests/report/test_golden_report.py.",
     )
     exp.figure_4a(
-        trace, buffer_size=BUFFER, rates=RATES, report=builder, **grid
+        trace, buffer_size=BUFFER, rates=RATES, run=run, report=builder
     )
     return builder.to_markdown()
 
@@ -48,16 +49,17 @@ class TestGoldenReport:
         assert markdown == GOLDEN.read_text(encoding="utf-8")
 
     def test_pooled_run_is_byte_identical(self):
-        assert build_markdown(workers=2) == GOLDEN.read_text(encoding="utf-8")
+        markdown = build_markdown(RunOptions(workers=2))
+        assert markdown == GOLDEN.read_text(encoding="utf-8")
 
     def test_dispatched_run_is_byte_identical(self, tmp_path):
         markdown = build_markdown(
-            dispatch="local-pool", cache=str(tmp_path / "cache")
+            RunOptions(dispatch="local-pool", cache=str(tmp_path / "cache"))
         )
         assert markdown == GOLDEN.read_text(encoding="utf-8")
 
     def test_warm_cache_rerun_is_byte_identical(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        first = build_markdown(dispatch="local-pool", cache=cache)
-        warm = build_markdown(dispatch="local-pool", cache=cache)
+        run = RunOptions(dispatch="local-pool", cache=str(tmp_path / "cache"))
+        first = build_markdown(run)
+        warm = build_markdown(run)
         assert first == warm == GOLDEN.read_text(encoding="utf-8")

@@ -35,14 +35,12 @@ class TestSweepCiTable:
         cell = sweep.cells[0]
         stats = cell.stats("value")
         # The quoted half-width is the t-based one (df=2 → 4.303), not
-        # the legacy z interval.
+        # a z interval.
         expected = summarise(
             [run.metrics["value"] for run in cell.runs]
         )
-        assert stats.ci95_t == pytest.approx(
-            t_critical(2) / 1.96 * stats.ci95
-        )
-        assert f"{expected.ci95_t:.6g}"[:6] in rows[0][1]
+        assert stats.ci95 == pytest.approx(t_critical(2) * stats.std / 3**0.5)
+        assert f"{expected.ci95:.6g}"[:6] in rows[0][1]
         assert "(n=3)" in rows[0][1]
 
     def test_single_replicate_shows_n1_and_no_interval(self):

@@ -1,179 +1,33 @@
-"""Unit tests for fault and perturbation injection."""
+"""Unit tests for the shared time and interval validators."""
 
 import math
 
 import pytest
 
-from repro.sim.failure import (
-    CrashSchedule,
-    Perturbation,
-    PerturbationSchedule,
-    ScheduleError,
-    periodic_perturbations,
-)
-from repro.sim.kernel import Simulator
-from repro.sim.network import Network
-from repro.sim.process import SimProcess
+from repro.faults import FaultPlanError
+from repro.sim.failure import check_positive, check_time
 
 
-class Dummy(SimProcess):
-    def on_message(self, sender, payload):
-        pass
-
-
-class FakePausable:
-    def __init__(self):
-        self.log = []
-
-    def pause(self):
-        self.log.append("pause")
-
-    def resume(self):
-        self.log.append("resume")
-
-
-class TestCrashSchedule:
-    def test_crashes_at_scheduled_times(self):
-        sim = Simulator()
-        net = Network(sim)
-        a, b = Dummy(0, sim, net), Dummy(1, sim, net)
-        CrashSchedule(sim, [(1.0, a), (2.0, b)]).install()
-        sim.run(until=1.5)
-        assert a.crashed and not b.crashed
-        sim.run()
-        assert b.crashed
-
-    def test_double_install_rejected(self):
-        sim = Simulator()
-        net = Network(sim)
-        a = Dummy(0, sim, net)
-        schedule = CrashSchedule(sim, [(1.0, a)])
-        schedule.install()
-        with pytest.raises(RuntimeError):
-            schedule.install()
-
-    def test_double_install_is_also_a_value_error(self):
-        """ScheduleError subclasses both, so either except clause works."""
-        sim = Simulator()
-        net = Network(sim)
-        schedule = CrashSchedule(sim, [(1.0, Dummy(0, sim, net))])
-        schedule.install()
-        with pytest.raises(ValueError):
-            schedule.install()
+class TestCheckTime:
+    @pytest.mark.parametrize("good", [0, 0.0, 1.5, 10**6])
+    def test_finite_non_negative_accepted(self, good):
+        check_time(good, "t")
 
     @pytest.mark.parametrize("bad_time", [-1.0, math.nan, math.inf, "soon"])
-    def test_invalid_times_rejected(self, bad_time):
-        sim = Simulator()
-        net = Network(sim)
-        schedule = CrashSchedule(sim, [(bad_time, Dummy(0, sim, net))])
-        with pytest.raises(ScheduleError):
-            schedule.install()
+    def test_invalid_rejected(self, bad_time):
+        with pytest.raises(ValueError, match="t must be"):
+            check_time(bad_time, "t")
 
-    def test_invalid_times_leave_nothing_scheduled(self):
-        """Validation happens before any scheduling: a bad entry late in
-        the list must not half-install the schedule."""
-        sim = Simulator()
-        net = Network(sim)
-        a, b = Dummy(0, sim, net), Dummy(1, sim, net)
-        schedule = CrashSchedule(sim, [(1.0, a), (math.nan, b)])
-        with pytest.raises(ScheduleError):
-            schedule.install()
-        assert not schedule.installed
-        sim.run(until=2.0)
-        assert not a.crashed and not b.crashed
-
-    def test_target_without_crash_method_rejected(self):
-        sim = Simulator()
-        schedule = CrashSchedule(sim, [(1.0, object())])
-        with pytest.raises(ScheduleError, match="no crash"):
-            schedule.install()
+    def test_raises_the_given_error_type(self):
+        with pytest.raises(FaultPlanError):
+            check_time(-1.0, "t", FaultPlanError)
 
 
-class TestPerturbationSchedule:
-    def test_pause_resume_cycle(self):
-        sim = Simulator()
-        target = FakePausable()
-        PerturbationSchedule(sim, target, [Perturbation(1.0, 0.5)]).install()
-        sim.run()
-        assert target.log == ["pause", "resume"]
+class TestCheckPositive:
+    @pytest.mark.parametrize("bad", [0, -0.5, math.nan, math.inf, "often"])
+    def test_invalid_rejected(self, bad):
+        with pytest.raises(ValueError, match="positive finite"):
+            check_positive(bad, "retry")
 
-    def test_overlapping_windows_merge(self):
-        sim = Simulator()
-        target = FakePausable()
-        schedule = PerturbationSchedule(
-            sim,
-            target,
-            [Perturbation(1.0, 2.0), Perturbation(2.0, 2.0)],
-        )
-        schedule.install()
-        sim.run()
-        # One logical pause from 1.0 to 4.0, not two.
-        assert target.log == ["pause", "resume"]
-
-    def test_disjoint_windows_each_cycle(self):
-        sim = Simulator()
-        target = FakePausable()
-        PerturbationSchedule(
-            sim, target, [Perturbation(1.0, 0.5), Perturbation(3.0, 0.5)]
-        ).install()
-        sim.run()
-        assert target.log == ["pause", "resume", "pause", "resume"]
-
-    def test_negative_duration_rejected(self):
-        sim = Simulator()
-        schedule = PerturbationSchedule(
-            sim, FakePausable(), [Perturbation(1.0, -1.0)]
-        )
-        with pytest.raises(ValueError):
-            schedule.install()
-
-    def test_total_stall_time(self):
-        sim = Simulator()
-        schedule = PerturbationSchedule(
-            sim, FakePausable(), [Perturbation(0.0, 1.0), Perturbation(5.0, 2.0)]
-        )
-        assert schedule.total_stall_time == 3.0
-
-    def test_double_install_rejected(self):
-        sim = Simulator()
-        schedule = PerturbationSchedule(sim, FakePausable(), [])
-        schedule.install()
-        with pytest.raises(RuntimeError):
-            schedule.install()
-
-    @pytest.mark.parametrize("bad_start", [-0.5, math.nan, math.inf])
-    def test_invalid_start_rejected(self, bad_start):
-        sim = Simulator()
-        schedule = PerturbationSchedule(
-            sim, FakePausable(), [Perturbation(bad_start, 1.0)]
-        )
-        with pytest.raises(ScheduleError):
-            schedule.install()
-
-    def test_nan_duration_rejected(self):
-        sim = Simulator()
-        schedule = PerturbationSchedule(
-            sim, FakePausable(), [Perturbation(1.0, math.nan)]
-        )
-        with pytest.raises(ScheduleError):
-            schedule.install()
-
-
-class TestPeriodicPerturbations:
-    def test_builds_equally_spaced_windows(self):
-        windows = periodic_perturbations(
-            first_start=1.0, duration=0.5, period=2.0, count=3
-        )
-        assert [w.start for w in windows] == [1.0, 3.0, 5.0]
-        assert all(w.duration == 0.5 for w in windows)
-
-    def test_zero_count_gives_empty(self):
-        assert periodic_perturbations(0.0, 1.0, 1.0, 0) == []
-
-    def test_invalid_period_rejected(self):
-        with pytest.raises(ValueError):
-            periodic_perturbations(0.0, 1.0, 0.0, 1)
-
-    def test_end_property(self):
-        p = Perturbation(2.0, 0.75)
-        assert p.end == 2.75
+    def test_positive_accepted(self):
+        check_positive(0.1, "retry")

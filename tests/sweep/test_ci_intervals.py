@@ -1,10 +1,8 @@
-"""Student-t confidence intervals: the z-for-all-n bugfix.
+"""Student-t confidence intervals.
 
-``ci95`` historically used z=1.96 regardless of sample size — at the 3–5
-replicates sweeps actually run, that understates the 95 % interval by up
-to 2×.  The fix keeps ``ci95`` byte-identical (golden fixtures pin it)
-and adds ``ci95_t`` with the Student-t critical value at n-1 degrees of
-freedom; reports quote the t interval.
+``ci95`` is the 95 % half-width with the Student-t critical value at n-1
+degrees of freedom.  The normal z=1.96 would understate it by up to 2× at
+the 3–5 replicates sweeps actually run.
 """
 
 import math
@@ -49,51 +47,54 @@ class TestTCritical:
 
 
 class TestSummarise:
-    def test_legacy_ci95_is_unchanged(self):
-        # The exact expression the golden fixtures were generated with.
+    def test_ci95_is_student_t(self):
         stats = summarise([1.0, 2.0, 3.0])
-        assert stats.ci95 == pytest.approx(1.96 / 3**0.5)
+        assert stats.ci95 == pytest.approx(4.303 / 3**0.5)
 
-    def test_ci95_t_uses_n_minus_1_dof(self):
-        stats = summarise([1.0, 2.0, 3.0])
-        sem = stats.std / math.sqrt(3)
-        assert stats.ci95_t == pytest.approx(t_critical(2) * sem)
-        # At n=3 the z interval understates by the 4.303/1.96 ratio.
-        assert stats.ci95_t / stats.ci95 == pytest.approx(4.303 / 1.96)
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_ci95_uses_n_minus_1_dof(self, n):
+        values = [float(i * i) for i in range(n)]
+        stats = summarise(values)
+        sem = stats.std / math.sqrt(n)
+        assert stats.ci95 == pytest.approx(t_critical(n - 1) * sem)
 
     def test_single_sample_has_no_interval(self):
         stats = summarise([5.0])
-        assert stats.ci95 == 0.0 and stats.ci95_t == 0.0 and stats.std == 0.0
+        assert stats.ci95 == 0.0 and stats.std == 0.0
 
     def test_large_n_intervals_converge(self):
         values = [float(i % 7) for i in range(200)]
         stats = summarise(values)
-        assert stats.ci95_t == pytest.approx(stats.ci95, rel=0.011)
-        assert stats.ci95_t >= stats.ci95
+        z_interval = 1.96 * stats.std / math.sqrt(200)
+        assert stats.ci95 == pytest.approx(z_interval, rel=0.011)
+        assert stats.ci95 >= z_interval
 
 
 class TestRoundTrip:
-    def test_to_dict_carries_both_intervals(self):
+    def test_to_dict_carries_t_interval(self):
         sweep = Sweep(base={"k": 7}, seeds=3).axis("x", [1]).run(
             arithmetic_cell
         )
         stats = sweep.to_dict()["cells"][0]["stats"]["value"]
-        assert set(stats) >= {"mean", "std", "ci95", "ci95_t", "n"}
-        assert stats["ci95_t"] / stats["ci95"] == pytest.approx(4.303 / 1.96)
+        assert set(stats) == {"mean", "std", "ci95", "n", "min", "max"}
+        assert stats["ci95"] == pytest.approx(
+            t_critical(2) * stats["std"] / 3**0.5
+        )
 
     def test_from_dict_recomputes_stats_for_old_payloads(self):
-        """Pre-fix archives (no ci95_t anywhere) still load, and their
-        recomputed stats gain the t interval."""
+        """Archives written with the old z-based ``ci95`` and a separate
+        ``ci95_t`` still load, and their recomputed stats quote t."""
         sweep = Sweep(base={"k": 7}, seeds=2).axis("x", [1]).run(
             arithmetic_cell
         )
         data = sweep.to_dict()
         for raw in data["cells"]:
             for stats in raw["stats"].values():
-                stats.pop("ci95_t")
+                stats["ci95_t"] = stats["ci95"]
+                stats["ci95"] = 1.96 * stats["std"] / 2**0.5
         restored = SweepResult.from_dict(data)
-        assert restored.cells[0].stats("value").ci95_t > 0.0
+        assert restored.to_dict() == sweep.to_dict()
 
     def test_metric_stats_default_keeps_old_constructors_working(self):
         stats = MetricStats(mean=1.0, std=0.0, ci95=0.0, n=1, min=1.0, max=1.0)
-        assert stats.ci95_t == 0.0
+        assert stats.ci95 == 0.0 and not hasattr(stats, "ci95_t")

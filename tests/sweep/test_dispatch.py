@@ -114,11 +114,9 @@ class TestRegistry:
             resolve_backend(LocalPoolDispatch(workers=2), params={"workers": 3})
 
     def test_resolve_filters_kwargs_by_signature(self):
-        # subprocess's factory takes workers but not mp_context/chunksize;
-        # resolve must not explode passing the inapplicable ones.
-        backend = resolve_backend(
-            "subprocess", workers=3, mp_context="spawn", chunksize=4
-        )
+        # subprocess's factory takes workers but not chunksize; resolve
+        # must not explode passing the inapplicable one.
+        backend = resolve_backend("subprocess", workers=3, chunksize=4)
         assert backend.n_workers == 3
 
     def test_dispatch_params_without_dispatch_rejected(self):

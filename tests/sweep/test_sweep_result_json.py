@@ -43,7 +43,7 @@ class TestStats:
         assert stats.n == 3
         assert stats.min == 10.0 and stats.max == 12.0
         assert stats.std == pytest.approx(1.0)
-        assert stats.ci95 == pytest.approx(1.96 / 3**0.5)
+        assert stats.ci95 == pytest.approx(4.303 / 3**0.5)  # t at df=2
 
     def test_single_sample_has_zero_spread(self):
         stats = summarise([4.2])
